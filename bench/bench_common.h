@@ -14,9 +14,11 @@
 
 namespace spauth::bench {
 
-/// Default experiment parameters (Table II, scaled per DESIGN.md):
-/// dataset DE', ordering hbt, query range 2000, fanout 2, c=40, b=12,
-/// xi=50, p=49, 100 queries per data point.
+/// Default experiment parameters (Table II, scaled to the stand-in
+/// datasets of graph/generator.h): dataset DE', ordering hbt, query range
+/// 2000, fanout 2, c=40 (paper 200), b=12, xi=50, p=49 (paper 225), 100
+/// queries per data point. The stand-ins are ~24x smaller than the
+/// paper's networks, so c and p shrink ~5x.
 inline constexpr double kDefaultQueryRange = 2000;
 inline constexpr size_t kWorkloadSize = 100;
 inline constexpr uint64_t kWorkloadSeed = 7;

@@ -1,7 +1,8 @@
 // Figure 12 — LDM: effect of the number of landmarks c.
 //   12a: communication overhead vs c
 //   12b: offline construction time vs c (slightly superlinear)
-// c values are scaled from the paper's 50..800 (DESIGN.md). Because our
+// c values are scaled from the paper's 50..800, like the default c=40
+// (paper 200), to the ~24x smaller stand-in network. Because our
 // networks are ~24x smaller, a handful of landmarks already saturates the
 // lower bound: the sweep therefore covers both the paper's falling regime
 // (c = 2..10, weak bounds -> big proofs) and the saturation regime beyond

@@ -1,7 +1,8 @@
 // Figure 13 — HYP: effect of the number of HiTi cells p.
 //   13a: communication overhead vs p (decreases with p)
 //   13b: offline construction time vs p (sublinear increase)
-// p values are scaled from the paper's 25..625 (DESIGN.md).
+// p values are scaled from the paper's 25..625, like the default p=49
+// (paper 225), to the ~24x smaller stand-in network (graph/generator.h).
 #include <cstdio>
 
 #include "bench_common.h"

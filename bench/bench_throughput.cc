@@ -44,7 +44,7 @@
 // --update-rate R switches to the live-update mode (DIJ, the one method
 // with an incremental update story): an owner thread streams --updates N
 // seeded edge-weight updates at R updates/second through
-// ApplyEdgeWeightUpdatesAllShards while a serving thread keeps AnswerBatch
+// ApplyUpdatesAllShards while a serving thread keeps AnswerBatch
 // running — epoch-snapshot rotation under real read traffic. The JSON
 // reports per-rotation latency, the max snapshot-drain depth observed,
 // mixed-phase serve throughput, the rotation_clone_bytes copy-on-write
@@ -693,20 +693,20 @@ int RunSharded(const Config& config) {
       // One fleet rotation — DIJ only; the other methods rebuild on
       // weight change. N shards, ONE signature.
       if (method == MethodKind::kDij) {
-        std::vector<EdgeWeightUpdate> rot_updates;
+        std::vector<StructuralUpdate> rot_updates;
         Rng rng(kWorkloadSeed + 7);
         for (NodeId n = 0;
              n < graph->num_nodes() && rot_updates.size() < 4; ++n) {
           for (const Edge& edge : graph->Neighbors(n)) {
             if (n < edge.to && rot_updates.size() < 4) {
-              rot_updates.push_back(
-                  {n, edge.to, edge.weight * rng.NextDoubleIn(0.6, 1.8)});
+              rot_updates.push_back(StructuralUpdate::SetWeight(
+                  n, edge.to, edge.weight * rng.NextDoubleIn(0.6, 1.8)));
             }
           }
         }
         const uint64_t before_signs = RsaSignOps();
-        auto version = sharded.value()->ApplyEdgeWeightUpdatesAllShards(
-            OwnerKeys(), rot_updates);
+        auto version = sharded.value()->ApplyUpdatesAllShards(OwnerKeys(),
+                                                              rot_updates);
         forest_rotation_signatures = RsaSignOps() - before_signs;
         if (!version.ok()) {
           std::fprintf(stderr, "%s: forest fleet rotation failed: %s\n",
@@ -847,7 +847,7 @@ int RunLiveUpdates(const Config& config) {
   // their original weight. One writer applies them in order, so the final
   // graph (and therefore the final-pass digest) is independent of how the
   // stream interleaves with serving.
-  std::vector<EdgeWeightUpdate> updates;
+  std::vector<StructuralUpdate> updates;
   {
     std::vector<EdgeWeightUpdate> edges;
     for (NodeId n = 0; n < graph->num_nodes(); ++n) {
@@ -861,8 +861,8 @@ int RunLiveUpdates(const Config& config) {
     updates.reserve(num_updates);
     for (size_t i = 0; i < num_updates; ++i) {
       const EdgeWeightUpdate& edge = edges[rng.NextBounded(edges.size())];
-      updates.push_back(
-          {edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8)});
+      updates.push_back(StructuralUpdate::SetWeight(
+          edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8)));
     }
   }
 
@@ -916,10 +916,10 @@ int RunLiveUpdates(const Config& config) {
       config.update_rate > 0 ? 1.0 / config.update_rate : 0.0);
   for (size_t i = 0; i < updates.size(); i += batch_size) {
     const size_t end = std::min(updates.size(), i + batch_size);
-    const std::span<const EdgeWeightUpdate> batch(updates.data() + i,
+    const std::span<const StructuralUpdate> batch(updates.data() + i,
                                                   end - i);
     WallTimer t;
-    auto version = e.ApplyEdgeWeightUpdatesAllShards(OwnerKeys(), batch);
+    auto version = e.ApplyUpdatesAllShards(OwnerKeys(), batch);
     update_ms.push_back(t.ElapsedSeconds() * 1000);
     if (version.ok()) {
       final_version = version.value();
@@ -1123,9 +1123,9 @@ int RunUpdateStorm(const Config& config) {
   // bound, so every rotation is a full (or the one final partial) batch.
   for (size_t i = 0; i < burst_ops; ++i) {
     const EdgeWeightUpdate& edge = edges[rng.NextBounded(edges.size())];
-    const EdgeWeightUpdate update{
-        edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8)};
-    auto flushed = e.EnqueueWeightUpdate(0, OwnerKeys(), update, now_us);
+    const StructuralUpdate update = StructuralUpdate::SetWeight(
+        edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8));
+    auto flushed = e.Enqueue(0, OwnerKeys(), update, now_us);
     if (!flushed.ok()) {
       std::fprintf(stderr, "enqueue failed: %s\n",
                    flushed.status().ToString().c_str());
@@ -1155,10 +1155,11 @@ int RunUpdateStorm(const Config& config) {
   size_t structural_ops = 0;
   for (size_t cycle = 0; cycle < trickle_cycles; ++cycle) {
     const EdgeWeightUpdate& edge = edges[rng.NextBounded(edges.size())];
-    auto ok = e.EnqueueWeightUpdate(
-        0, OwnerKeys(),
-        {edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8)},
-        now_us);
+    auto ok = e.Enqueue(0, OwnerKeys(),
+                        StructuralUpdate::SetWeight(
+                            edge.u, edge.v,
+                            edge.new_weight * rng.NextDoubleIn(0.6, 1.8)),
+                        now_us);
     if (!ok.ok()) {
       std::fprintf(stderr, "enqueue failed: %s\n",
                    ok.status().ToString().c_str());
@@ -1174,7 +1175,7 @@ int RunUpdateStorm(const Config& config) {
             rng.NextDoubleIn(10.0, 400.0)),
     };
     for (const StructuralUpdate& op : grow) {
-      auto queued = e.EnqueueStructuralUpdate(0, OwnerKeys(), op, now_us);
+      auto queued = e.Enqueue(0, OwnerKeys(), op, now_us);
       if (!queued.ok()) {
         std::fprintf(stderr, "structural enqueue failed: %s\n",
                      queued.status().ToString().c_str());
@@ -1316,8 +1317,7 @@ int RunUpdateStorm(const Config& config) {
       final_stats.qps, final_stats.mean_ms, final_stats.p50_ms,
       final_stats.p99_ms);
   std::printf("  \"updates_total\": %llu\n",
-              static_cast<unsigned long long>(stats.totals.updates +
-                                              stats.totals.structural_updates));
+              static_cast<unsigned long long>(stats.totals.updates));
   std::printf("}\n");
   return 0;
 }
@@ -1464,9 +1464,9 @@ int RunChaos(const Config& config) {
       return 1;
     }
     fp.ArmOneShot("certificate/sign", /*after=*/1);
-    const EdgeWeightUpdate update{u, v, weight * 1.5};
-    auto torn = e.ApplyEdgeWeightUpdates(0, OwnerKeys(),
-                                         std::span(&update, 1));
+    const StructuralUpdate update =
+        StructuralUpdate::SetWeight(u, v, weight * 1.5);
+    auto torn = e.ApplyUpdates(0, OwnerKeys(), {&update, 1});
     fp.Disarm("certificate/sign");
     if (torn.ok() || !IsRetryable(torn.status().code())) {
       std::fprintf(stderr,
@@ -1638,7 +1638,7 @@ int RunRecover(const Config& config) {
 
   // Same seeded owner stream as the live-update mode, absorbed in batches;
   // the twin applies only what the crashed world made durable.
-  std::vector<EdgeWeightUpdate> updates;
+  std::vector<StructuralUpdate> updates;
   {
     std::vector<EdgeWeightUpdate> edges;
     for (NodeId n = 0; n < graph->num_nodes(); ++n) {
@@ -1652,8 +1652,8 @@ int RunRecover(const Config& config) {
     updates.reserve(num_updates);
     for (size_t i = 0; i < num_updates; ++i) {
       const EdgeWeightUpdate& edge = edges[rng.NextBounded(edges.size())];
-      updates.push_back(
-          {edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8)});
+      updates.push_back(StructuralUpdate::SetWeight(
+          edge.u, edge.v, edge.new_weight * rng.NextDoubleIn(0.6, 1.8)));
     }
   }
   const size_t num_batches = (updates.size() + batch_size - 1) / batch_size;
@@ -1668,14 +1668,14 @@ int RunRecover(const Config& config) {
   for (size_t b = 0; b < num_batches; ++b) {
     const size_t begin = b * batch_size;
     const size_t end = std::min(updates.size(), begin + batch_size);
-    const std::span<const EdgeWeightUpdate> batch(updates.data() + begin,
+    const std::span<const StructuralUpdate> batch(updates.data() + begin,
                                                   end - begin);
     const bool last = b + 1 == num_batches;
     // wal/reset is a checkpoint seam, not an update seam: it fires inside
     // the mid-stream checkpoint below, and every batch applies cleanly.
     if (last && kill != "none" && kill != "wal/reset") {
       FailPointRegistry::Global().ArmOneShot(kill);
-      auto doomed = engine->ApplyEdgeWeightUpdates(OwnerKeys(), batch);
+      auto doomed = engine->ApplyUpdates(&OwnerKeys(), batch);
       FailPointRegistry::Global().Disarm(kill);
       if (doomed.ok() || !IsRetryable(doomed.status().code())) {
         std::fprintf(stderr,
@@ -1686,14 +1686,14 @@ int RunRecover(const Config& config) {
         return 1;
       }
       if (kill_is_durable &&
-          !twin->ApplyEdgeWeightUpdates(OwnerKeys(), batch).ok()) {
+          !twin->ApplyUpdates(&OwnerKeys(), batch).ok()) {
         std::fprintf(stderr, "recover: twin update failed\n");
         return 1;
       }
       break;
     }
-    if (!engine->ApplyEdgeWeightUpdates(OwnerKeys(), batch).ok() ||
-        !twin->ApplyEdgeWeightUpdates(OwnerKeys(), batch).ok()) {
+    if (!engine->ApplyUpdates(&OwnerKeys(), batch).ok() ||
+        !twin->ApplyUpdates(&OwnerKeys(), batch).ok()) {
       std::fprintf(stderr, "recover: update batch %zu failed\n", b);
       return 1;
     }
@@ -1812,14 +1812,14 @@ int RunRecover(const Config& config) {
       return 1;
     }
     ShardedEngine& e = *fleet.value();
-    const std::span<const EdgeWeightUpdate> batch(
+    const std::span<const StructuralUpdate> batch(
         updates.data(), std::min<size_t>(updates.size(), batch_size));
     // One-shot on the LAST replica's publish step: siblings advance, the
     // last replica stays frozen — exactly the torn rotation HealGroup
     // repairs.
     FailPointRegistry::Global().ArmOneShot("engine/publish",
                                            /*after=*/heal_replicas - 1);
-    auto torn = e.ApplyEdgeWeightUpdates(0, OwnerKeys(), batch);
+    auto torn = e.ApplyUpdates(0, OwnerKeys(), batch);
     FailPointRegistry::Global().Disarm("engine/publish");
     if (torn.ok() || !IsRetryable(torn.status().code())) {
       std::fprintf(stderr, "heal: injected tear did not surface\n");

@@ -53,8 +53,9 @@ int main() {
   const NodeId u = before.value().path.nodes[1];
   const NodeId v = before.value().path.nodes[2];
   const double old_w = graph.EdgeWeight(u, v).value();
-  if (Status s = UpdateEdgeWeight(&graph, &ads, keys.value(), u, v,
-                                  old_w * 100);
+  const StructuralUpdate closure =
+      StructuralUpdate::SetWeight(u, v, old_w * 100);
+  if (Status s = ApplyUpdates(&graph, &ads, &keys.value(), {&closure, 1});
       !s.ok()) {
     std::fprintf(stderr, "update failed: %s\n", s.ToString().c_str());
     return 1;

@@ -93,53 +93,14 @@ void MethodEngine::OnStateDrained(const EngineState& state) const {
   live_states_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
-Result<uint32_t> MethodEngine::ApplyEdgeWeightUpdates(
-    const RsaKeyPair& /*keys*/, std::span<const EdgeWeightUpdate> updates) {
-  if (updates.empty()) {
+Result<uint32_t> MethodEngine::ApplyUpdates(
+    const RsaKeyPair* /*keys*/, std::span<const StructuralUpdate> ops) {
+  if (ops.empty()) {
     // An empty batch is a no-op for every method, per the header contract.
     return CurrentState()->certificate.params.version;
   }
   return Status::FailedPrecondition(
-      "method hints require a rebuild on weight changes");
-}
-
-Result<uint32_t> MethodEngine::ApplyEdgeWeightUpdate(const RsaKeyPair& keys,
-                                                     NodeId u, NodeId v,
-                                                     double new_weight) {
-  const EdgeWeightUpdate update{u, v, new_weight};
-  return ApplyEdgeWeightUpdates(keys, {&update, 1});
-}
-
-Result<uint32_t> MethodEngine::ApplyEdgeWeightUpdatesUnsigned(
-    std::span<const EdgeWeightUpdate> updates) {
-  if (updates.empty()) {
-    return CurrentState()->certificate.params.version;
-  }
-  return Status::FailedPrecondition(
-      "method hints require a rebuild on weight changes");
-}
-
-Result<uint32_t> MethodEngine::ApplyStructuralUpdates(
-    const RsaKeyPair& /*keys*/, std::span<const StructuralUpdate> ops) {
-  if (ops.empty()) {
-    return CurrentState()->certificate.params.version;
-  }
-  return Status::FailedPrecondition(
-      "method hints require a rebuild on structural changes");
-}
-
-Result<uint32_t> MethodEngine::ApplyStructuralUpdate(
-    const RsaKeyPair& keys, const StructuralUpdate& op) {
-  return ApplyStructuralUpdates(keys, {&op, 1});
-}
-
-Result<uint32_t> MethodEngine::ApplyStructuralUpdatesUnsigned(
-    std::span<const StructuralUpdate> ops) {
-  if (ops.empty()) {
-    return CurrentState()->certificate.params.version;
-  }
-  return Status::FailedPrecondition(
-      "method hints require a rebuild on structural changes");
+      "method hints require a rebuild on graph updates");
 }
 
 Status MethodEngine::SerializeDurableState(ByteWriter* /*out*/) const {
@@ -429,53 +390,26 @@ class DijEngine : public MethodEngine {
     return MakeBundle(s, answer);
   }
 
-  Result<uint32_t> ApplyEdgeWeightUpdates(
-      const RsaKeyPair& keys,
-      std::span<const EdgeWeightUpdate> updates) override {
-    return ApplyUpdatesRotation(&keys, updates);
-  }
-
-  Result<uint32_t> ApplyEdgeWeightUpdatesUnsigned(
-      std::span<const EdgeWeightUpdate> updates) override {
-    return ApplyUpdatesRotation(nullptr, updates);
-  }
-
-  Result<uint32_t> ApplyStructuralUpdates(
-      const RsaKeyPair& keys,
+  Result<uint32_t> ApplyUpdates(
+      const RsaKeyPair* keys,
       std::span<const StructuralUpdate> ops) override {
-    return ApplyStructuralRotation(&keys, ops);
-  }
-
-  Result<uint32_t> ApplyStructuralUpdatesUnsigned(
-      std::span<const StructuralUpdate> ops) override {
-    return ApplyStructuralRotation(nullptr, ops);
-  }
-
-  /// The rotation body shared by the signed and forest-mode (unsigned)
-  /// update paths; `keys` == nullptr defers the certificate signature to
-  /// the fleet layer's forest publish.
-  Result<uint32_t> ApplyUpdatesRotation(
-      const RsaKeyPair* keys, std::span<const EdgeWeightUpdate> updates) {
     std::unique_lock<std::mutex> rotation = LockForUpdate();
     const std::shared_ptr<const DijState> cur = State();
-    if (updates.empty()) {
+    if (ops.empty()) {
       return cur->certificate.params.version;  // nothing to absorb
     }
     // Copy-on-write rotation: the graph/ADS "clones" share every chunk
     // with the published snapshot (pointer spines only); absorbing the
     // batch path-copies just the touched adjacency blocks, tuple chunks
-    // and Merkle path chunks, then signs ONCE at version + k. A failed
+    // and Merkle path chunks — the CSR splices and the tree grows a leaf
+    // per added vertex when the shape changes — then signs ONCE at
+    // version + k (or defers the signature in forest mode). A failed
     // batch publishes nothing.
     size_t copied_bytes = 0;
     auto graph = std::make_shared<Graph>(*cur->graph);
     auto next = std::make_unique<DijState>(cur->ads);
-    if (keys != nullptr) {
-      SPAUTH_RETURN_IF_ERROR(spauth::ApplyEdgeWeightUpdates(
-          graph.get(), &next->ads, *keys, updates, &copied_bytes));
-    } else {
-      SPAUTH_RETURN_IF_ERROR(spauth::ApplyEdgeWeightUpdatesUnsigned(
-          graph.get(), &next->ads, updates, &copied_bytes));
-    }
+    SPAUTH_RETURN_IF_ERROR(spauth::ApplyUpdates(graph.get(), &next->ads, keys,
+                                                ops, &copied_bytes));
     next->graph = std::move(graph);
     next->certificate = next->ads.certificate;
     next->cert_size = next->certificate.SerializedSize();
@@ -487,50 +421,11 @@ class DijEngine : public MethodEngine {
     if (Wal* wal = attached_wal()) {
       WalRecord record;
       record.base_version = cur->certificate.params.version;
-      record.updates.assign(updates.begin(), updates.end());
+      record.updates.assign(ops.begin(), ops.end());
       SPAUTH_RETURN_IF_ERROR(wal->Append(record));
     }
     // Last fallible step before the publish: a fired point here discards
     // the fully-built clone and leaves the old snapshot serving.
-    SPAUTH_FAILPOINT_RETURN("engine/publish");
-    AddRotationCloneBytes(copied_bytes);
-    PublishState(std::move(next));
-    return version;
-  }
-
-  /// Structural twin of ApplyUpdatesRotation: same clone/WAL/publish
-  /// discipline, except the clones grow or shrink — the CSR splices
-  /// adjacency blocks, the ADS appends Merkle leaves for new vertices —
-  /// and the WAL record carries the structural kind so recovery replays
-  /// the exact op sequence.
-  Result<uint32_t> ApplyStructuralRotation(
-      const RsaKeyPair* keys, std::span<const StructuralUpdate> ops) {
-    std::unique_lock<std::mutex> rotation = LockForUpdate();
-    const std::shared_ptr<const DijState> cur = State();
-    if (ops.empty()) {
-      return cur->certificate.params.version;  // nothing to absorb
-    }
-    size_t copied_bytes = 0;
-    auto graph = std::make_shared<Graph>(*cur->graph);
-    auto next = std::make_unique<DijState>(cur->ads);
-    if (keys != nullptr) {
-      SPAUTH_RETURN_IF_ERROR(spauth::ApplyStructuralUpdates(
-          graph.get(), &next->ads, *keys, ops, &copied_bytes));
-    } else {
-      SPAUTH_RETURN_IF_ERROR(spauth::ApplyStructuralUpdatesUnsigned(
-          graph.get(), &next->ads, ops, &copied_bytes));
-    }
-    next->graph = std::move(graph);
-    next->certificate = next->ads.certificate;
-    next->cert_size = next->certificate.SerializedSize();
-    const uint32_t version = next->certificate.params.version;
-    if (Wal* wal = attached_wal()) {
-      WalRecord record;
-      record.kind = WalRecordKind::kStructural;
-      record.base_version = cur->certificate.params.version;
-      record.structural.assign(ops.begin(), ops.end());
-      SPAUTH_RETURN_IF_ERROR(wal->Append(record));
-    }
     SPAUTH_FAILPOINT_RETURN("engine/publish");
     AddRotationCloneBytes(copied_bytes);
     PublishState(std::move(next));

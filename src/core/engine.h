@@ -3,7 +3,8 @@
 // parameters) triple:
 //
 //   owner:    BuildXxxAds (timed; the "offline construction" of Figure 8c)
-//             + ApplyEdgeWeightUpdate (live snapshot rotation, DIJ only)
+//             + ApplyUpdates (one ordered op batch per live snapshot
+//             rotation, DIJ only)
 //   provider: Answer(query) -> serialized ProofBundle with size accounting
 //   client:   Verify(query, bundle) -> VerifyOutcome (only public key used)
 //
@@ -62,8 +63,12 @@ inline constexpr TamperKind kAllTamperKinds[] = {
 };
 
 /// Size/item accounting split into shortest-path proof (S-prf) and
-/// integrity proof (T-prf) per the paper's Figure 8a/8b convention; see
-/// EXPERIMENTS.md for the exact attribution rules.
+/// integrity proof (T-prf) per the paper's Figure 8a/8b convention. S-prf
+/// is what proves the path shortest: the searched subgraph's tuples
+/// (DIJ/LDM/HYP, plus HYP's hyper-edge entries) or FULL's authenticated
+/// distance entries with their B-tree digests. T-prf is what proves the
+/// rest authentic: the certificate, the network Merkle digests, HYP's
+/// hyper-edge digests and, for FULL, the path tuples themselves.
 struct ProofStats {
   size_t sp_bytes = 0;
   size_t t_bytes = 0;
@@ -205,61 +210,37 @@ class MethodEngine {
   virtual VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
                                VerifyWorkspace& ws) const = 0;
 
-  /// Owner-side live maintenance: absorbs the whole batch of edge-weight
-  /// changes into ONE copy-on-write rotation — a structural clone of the
-  /// current snapshot's graph and ADS (pointer spines only; every chunk is
-  /// shared until touched), the affected tuples refreshed with their
-  /// Merkle paths incrementally re-hashed, ONE certificate signature at
-  /// version + k, one atomic publish. Concurrent AnswerBatch streams keep
-  /// serving the old snapshot until they pick up the new one; the old
-  /// snapshot (and its whole proof cache) drains when its last in-flight
-  /// reader finishes — retired snapshots alias the chunks the new one
-  /// shares, which stay immutable for as long as anyone holds them.
-  /// Returns the newly published certificate version (the current version
-  /// for an empty batch, which publishes nothing). FailedPrecondition for
-  /// methods whose hints require a rebuild (FULL/LDM/HYP) — the published
-  /// snapshot and its cache are left untouched. Writers may call this
-  /// concurrently; rotations serialize internally.
-  virtual Result<uint32_t> ApplyEdgeWeightUpdates(
-      const RsaKeyPair& keys, std::span<const EdgeWeightUpdate> updates);
+  /// Owner-side live maintenance: absorbs an ordered batch of update ops
+  /// (re-weights and shape changes alike, core/updates.h) into ONE
+  /// copy-on-write rotation — a structural clone of the current snapshot's
+  /// graph and ADS (pointer spines only; every chunk is shared until
+  /// touched), the affected tuples refreshed or appended with their Merkle
+  /// paths incrementally re-hashed, one WAL record, ONE certificate
+  /// signature at version + k, one atomic publish. Concurrent AnswerBatch
+  /// streams keep serving the old snapshot (and its shape) until they pick
+  /// up the new one; the old snapshot (and its whole proof cache) drains
+  /// when its last in-flight reader finishes — retired snapshots alias the
+  /// chunks the new one shares, which stay immutable for as long as anyone
+  /// holds them. `keys` == nullptr is forest mode: the new certificate is
+  /// left UNSIGNED because ShardedEngine signs the forest root once per
+  /// epoch and the client authenticates the certificate body through its
+  /// forest path (core/forest_certificate.h) — never serve an unsigned
+  /// certificate without a forest publish following it (durable recovery,
+  /// core/snapshot_store.h, re-signs on WAL replay). Returns the newly
+  /// published certificate version (the current version for an empty
+  /// batch, which publishes nothing). FailedPrecondition for methods whose
+  /// hints require a rebuild (FULL/LDM/HYP) — the published snapshot and
+  /// its cache are left untouched. Writers may call this concurrently;
+  /// rotations serialize internally.
+  virtual Result<uint32_t> ApplyUpdates(const RsaKeyPair* keys,
+                                        std::span<const StructuralUpdate> ops);
 
-  /// Single-update wrapper: a batch of one (re-sign at version + 1).
-  Result<uint32_t> ApplyEdgeWeightUpdate(const RsaKeyPair& keys, NodeId u,
-                                         NodeId v, double new_weight);
-
-  /// Forest-mode rotation: absorbs the batch exactly like
-  /// ApplyEdgeWeightUpdates — same copy-on-write clone, WAL barrier and
-  /// atomic publish, same version + k — but the new certificate is left
-  /// UNSIGNED. Under a fleet forest certificate the per-shard signature is
-  /// redundant: ShardedEngine signs the forest root once per epoch and the
-  /// client authenticates the certificate body through its forest path
-  /// (core/forest_certificate.h). Never serve an unsigned certificate
-  /// without a forest publish following it. FailedPrecondition for non-DIJ
-  /// methods. Note durable recovery (core/snapshot_store.h) re-signs on
-  /// WAL replay, so recovered shards always verify standalone.
-  virtual Result<uint32_t> ApplyEdgeWeightUpdatesUnsigned(
-      std::span<const EdgeWeightUpdate> updates);
-
-  /// Structural rotation: absorbs a batch of {AddEdge, RemoveEdge,
-  /// AddVertex} ops into ONE copy-on-write rotation with the same
-  /// publish/drain/WAL contract as ApplyEdgeWeightUpdates — one typed WAL
-  /// record, one signature at version + k, one atomic publish. The cloned
-  /// graph splices its CSR, the ADS refreshes/appends the affected tuples
-  /// and Merkle leaves (the tree grows a leaf per AddVertex), and frozen
-  /// pre-structural snapshots keep serving their own shape while they
-  /// drain. FailedPrecondition for FULL/LDM/HYP — their hints require a
-  /// rebuild on any shape change.
-  virtual Result<uint32_t> ApplyStructuralUpdates(
-      const RsaKeyPair& keys, std::span<const StructuralUpdate> ops);
-
-  /// Single-op wrapper: a batch of one (re-sign at version + 1).
-  Result<uint32_t> ApplyStructuralUpdate(const RsaKeyPair& keys,
-                                         const StructuralUpdate& op);
-
-  /// Forest-mode structural rotation: unsigned certificate body, forest
-  /// publish must follow (see ApplyEdgeWeightUpdatesUnsigned).
-  virtual Result<uint32_t> ApplyStructuralUpdatesUnsigned(
-      std::span<const StructuralUpdate> ops);
+  /// Signed re-weight-only batch: each update becomes a kSetWeight op.
+  Result<uint32_t> ApplyEdgeWeightUpdates(
+      const RsaKeyPair& keys, std::span<const EdgeWeightUpdate> updates) {
+    return ApplyUpdates(&keys, std::vector<StructuralUpdate>(updates.begin(),
+                                                             updates.end()));
+  }
 
   /// Attaches a write-ahead log (core/wal.h): every subsequent update
   /// batch is appended — and flushed to stable storage — BEFORE its

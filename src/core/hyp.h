@@ -35,7 +35,10 @@ struct HypOptions {
   uint32_t fanout = 2;           // network tree fanout
   uint32_t distance_fanout = 2;  // hyper-edge B-tree fanout
   HashAlgorithm alg = HashAlgorithm::kSha1;
-  uint32_t num_cells = 49;  // p (scaled from the paper's 225; DESIGN.md)
+  // p: a 7x7 grid; the paper uses 15x15 = 225 on DE's 28,867 nodes,
+  // scaled down ~5x for the ~24x smaller stand-in networks
+  // (graph/generator.h).
+  uint32_t num_cells = 49;
   uint64_t seed = 1;
 };
 

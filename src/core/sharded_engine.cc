@@ -300,7 +300,7 @@ Result<std::shared_ptr<const ProofBundle>> ShardedEngine::AnswerPinned(
 
 Result<uint32_t> ShardedEngine::RotateGroup(
     size_t group, const RsaKeyPair& keys,
-    std::span<const EdgeWeightUpdate> updates) {
+    std::span<const StructuralUpdate> ops) {
   if (group >= num_groups_) {
     return Status::InvalidArgument("group index out of range");
   }
@@ -308,8 +308,10 @@ Result<uint32_t> ShardedEngine::RotateGroup(
   // group behind. Rotating on top of diverged bases would compound the
   // split (different versions signing different worlds forever), so bring
   // every laggard to the most advanced sibling's snapshot before touching
-  // anything. A failed heal aborts the rotation with a retryable error —
-  // better a stale lock-step group than a fresh diverged one.
+  // anything (a shape change on diverged bases would split the group's
+  // shape, not just its version). A failed heal aborts the rotation with a
+  // retryable error — better a stale lock-step group than a fresh
+  // diverged one.
   if (failover_.replicas_per_group > 1) {
     SPAUTH_ASSIGN_OR_RETURN(size_t healed, HealGroup(group));
     (void)healed;
@@ -324,24 +326,22 @@ Result<uint32_t> ShardedEngine::RotateGroup(
     // root's one signature authenticates the certificate body), so the
     // replicas rotate defer-signed and the caller publishes the forest.
     Result<uint32_t> applied =
-        forest_enabled_
-            ? shards_[engine]->ApplyEdgeWeightUpdatesUnsigned(updates)
-            : shards_[engine]->ApplyEdgeWeightUpdates(keys, updates);
+        shards_[engine]->ApplyUpdates(forest_enabled_ ? nullptr : &keys, ops);
     Counters& counters = counters_[engine];
     if (!applied.ok()) {
       counters.update_failures.fetch_add(1, std::memory_order_relaxed);
       return applied;
     }
-    counters.updates.fetch_add(updates.size(), std::memory_order_relaxed);
+    counters.updates.fetch_add(ops.size(), std::memory_order_relaxed);
     version = applied.value();
   }
   return version;
 }
 
-Result<uint32_t> ShardedEngine::ApplyEdgeWeightUpdates(
+Result<uint32_t> ShardedEngine::ApplyUpdates(
     size_t group, const RsaKeyPair& keys,
-    std::span<const EdgeWeightUpdate> updates) {
-  SPAUTH_ASSIGN_OR_RETURN(uint32_t version, RotateGroup(group, keys, updates));
+    std::span<const StructuralUpdate> ops) {
+  SPAUTH_ASSIGN_OR_RETURN(uint32_t version, RotateGroup(group, keys, ops));
   if (forest_enabled_) {
     // One group moved, so the old epoch's leaf for it went stale: publish
     // the next epoch (one signature) covering the fleet as it stands.
@@ -522,16 +522,8 @@ Status ShardedEngine::PublishForest(const RsaKeyPair& keys) {
   return Status::Ok();
 }
 
-Result<uint32_t> ShardedEngine::ApplyEdgeWeightUpdate(size_t group,
-                                                      const RsaKeyPair& keys,
-                                                      NodeId u, NodeId v,
-                                                      double new_weight) {
-  const EdgeWeightUpdate update{u, v, new_weight};
-  return ApplyEdgeWeightUpdates(group, keys, {&update, 1});
-}
-
-Result<uint32_t> ShardedEngine::ApplyEdgeWeightUpdatesAllShards(
-    const RsaKeyPair& keys, std::span<const EdgeWeightUpdate> updates) {
+Result<uint32_t> ShardedEngine::ApplyUpdatesAllShards(
+    const RsaKeyPair& keys, std::span<const StructuralUpdate> ops) {
   // Every group gets its attempt even after one fails: aborting mid-walk
   // (the old behavior) left the tail of the fleet on the previous version
   // for no reason — one bad group's failure is not a reason to starve the
@@ -539,7 +531,7 @@ Result<uint32_t> ShardedEngine::ApplyEdgeWeightUpdatesAllShards(
   uint32_t version = 0;
   Status first_error = Status::Ok();
   for (size_t group = 0; group < num_groups_; ++group) {
-    Result<uint32_t> rotated = RotateGroup(group, keys, updates);
+    Result<uint32_t> rotated = RotateGroup(group, keys, ops);
     if (rotated.ok()) {
       version = std::max(version, rotated.value());
     } else if (first_error.ok()) {
@@ -558,90 +550,6 @@ Result<uint32_t> ShardedEngine::ApplyEdgeWeightUpdatesAllShards(
   if (forest_enabled_) {
     // ONE forest signature for the whole fleet rotation, after the repair,
     // so the published epoch always certifies the fleet as it now serves.
-    const Status published = PublishForest(keys);
-    if (first_error.ok()) {
-      SPAUTH_RETURN_IF_ERROR(published);
-    }
-  }
-  if (!first_error.ok()) {
-    return first_error;
-  }
-  return version;
-}
-
-Result<uint32_t> ShardedEngine::ApplyEdgeWeightUpdateAllShards(
-    const RsaKeyPair& keys, NodeId u, NodeId v, double new_weight) {
-  const EdgeWeightUpdate update{u, v, new_weight};
-  return ApplyEdgeWeightUpdatesAllShards(keys, {&update, 1});
-}
-
-Result<uint32_t> ShardedEngine::RotateGroupStructural(
-    size_t group, const RsaKeyPair& keys,
-    std::span<const StructuralUpdate> ops) {
-  if (group >= num_groups_) {
-    return Status::InvalidArgument("group index out of range");
-  }
-  // Same self-repair-then-lock-step discipline as RotateGroup: structural
-  // rotations on diverged bases would split the group's SHAPE, not just
-  // its version — strictly worse — so heal first, abort on a failed heal.
-  if (failover_.replicas_per_group > 1) {
-    SPAUTH_ASSIGN_OR_RETURN(size_t healed, HealGroup(group));
-    (void)healed;
-  }
-  uint32_t version = 0;
-  for (size_t replica = 0; replica < failover_.replicas_per_group; ++replica) {
-    const size_t engine = group * failover_.replicas_per_group + replica;
-    Result<uint32_t> applied =
-        forest_enabled_
-            ? shards_[engine]->ApplyStructuralUpdatesUnsigned(ops)
-            : shards_[engine]->ApplyStructuralUpdates(keys, ops);
-    Counters& counters = counters_[engine];
-    if (!applied.ok()) {
-      counters.update_failures.fetch_add(1, std::memory_order_relaxed);
-      return applied;
-    }
-    counters.structural_updates.fetch_add(ops.size(),
-                                          std::memory_order_relaxed);
-    version = applied.value();
-  }
-  return version;
-}
-
-Result<uint32_t> ShardedEngine::ApplyStructuralUpdates(
-    size_t group, const RsaKeyPair& keys,
-    std::span<const StructuralUpdate> ops) {
-  SPAUTH_ASSIGN_OR_RETURN(uint32_t version,
-                          RotateGroupStructural(group, keys, ops));
-  if (forest_enabled_) {
-    SPAUTH_RETURN_IF_ERROR(PublishForest(keys));
-  }
-  return version;
-}
-
-Result<uint32_t> ShardedEngine::ApplyStructuralUpdate(
-    size_t group, const RsaKeyPair& keys, const StructuralUpdate& op) {
-  return ApplyStructuralUpdates(group, keys, {&op, 1});
-}
-
-Result<uint32_t> ShardedEngine::ApplyStructuralUpdatesAllShards(
-    const RsaKeyPair& keys, std::span<const StructuralUpdate> ops) {
-  // Mirrors ApplyEdgeWeightUpdatesAllShards: every group gets its attempt,
-  // then the replicated-fleet roll-forward repair, then ONE forest publish.
-  uint32_t version = 0;
-  Status first_error = Status::Ok();
-  for (size_t group = 0; group < num_groups_; ++group) {
-    Result<uint32_t> rotated = RotateGroupStructural(group, keys, ops);
-    if (rotated.ok()) {
-      version = std::max(version, rotated.value());
-    } else if (first_error.ok()) {
-      first_error = rotated.status();
-    }
-  }
-  if (!first_error.ok() && replicated_fleet_) {
-    Result<size_t> rolled = RollFleetForward();
-    (void)rolled;  // best-effort: the rotation error below is the root cause
-  }
-  if (forest_enabled_) {
     const Status published = PublishForest(keys);
     if (first_error.ok()) {
       SPAUTH_RETURN_IF_ERROR(published);
@@ -672,10 +580,9 @@ Status ShardedEngine::EnableUpdateQueues(const UpdateQueueOptions& options,
   return Status::Ok();
 }
 
-Result<bool> ShardedEngine::EnqueueWeightUpdate(size_t queue,
-                                                const RsaKeyPair& keys,
-                                                const EdgeWeightUpdate& update,
-                                                uint64_t now_micros) {
+Result<bool> ShardedEngine::Enqueue(size_t queue, const RsaKeyPair& keys,
+                                    const StructuralUpdate& op,
+                                    uint64_t now_micros) {
   if (queue >= queues_.size()) {
     return queues_.empty()
                ? Status::FailedPrecondition("update queues are not enabled")
@@ -684,32 +591,7 @@ Result<bool> ShardedEngine::EnqueueWeightUpdate(size_t queue,
   bool trigger = false;
   {
     std::lock_guard<std::mutex> lock(queues_[queue]->mu);
-    trigger = queues_[queue]->queue.EnqueueWeight(update, now_micros);
-  }
-  const size_t preferred =
-      queues_fleet_lock_step_ ? 0 : queue * failover_.replicas_per_group;
-  counters_[preferred].enqueued_updates.fetch_add(1,
-                                                  std::memory_order_relaxed);
-  if (!trigger) {
-    return false;
-  }
-  SPAUTH_ASSIGN_OR_RETURN(size_t drained, FlushQueue(queue, keys, now_micros));
-  return drained > 0;
-}
-
-Result<bool> ShardedEngine::EnqueueStructuralUpdate(size_t queue,
-                                                    const RsaKeyPair& keys,
-                                                    const StructuralUpdate& op,
-                                                    uint64_t now_micros) {
-  if (queue >= queues_.size()) {
-    return queues_.empty()
-               ? Status::FailedPrecondition("update queues are not enabled")
-               : Status::InvalidArgument("queue index out of range");
-  }
-  bool trigger = false;
-  {
-    std::lock_guard<std::mutex> lock(queues_[queue]->mu);
-    trigger = queues_[queue]->queue.EnqueueStructural(op, now_micros);
+    trigger = queues_[queue]->queue.Enqueue(op, now_micros);
   }
   const size_t preferred =
       queues_fleet_lock_step_ ? 0 : queue * failover_.replicas_per_group;
@@ -769,16 +651,10 @@ Result<size_t> ShardedEngine::FlushQueue(size_t queue, const RsaKeyPair& keys,
   std::lock_guard<std::mutex> lock(oq.mu);
   const UpdateQueueStats before = oq.queue.stats();
   const Status flushed = oq.queue.Flush(
-      now_micros,
-      [&](std::span<const EdgeWeightUpdate> run) {
+      now_micros, [&](std::span<const StructuralUpdate> run) {
         return queues_fleet_lock_step_
-                   ? ApplyEdgeWeightUpdatesAllShards(keys, run).status()
-                   : ApplyEdgeWeightUpdates(queue, keys, run).status();
-      },
-      [&](std::span<const StructuralUpdate> run) {
-        return queues_fleet_lock_step_
-                   ? ApplyStructuralUpdatesAllShards(keys, run).status()
-                   : ApplyStructuralUpdates(queue, keys, run).status();
+                   ? ApplyUpdatesAllShards(keys, run).status()
+                   : ApplyUpdates(queue, keys, run).status();
       });
   // Book what actually drained (a failed flush may still have rotated its
   // leading runs) on the queue's preferred engine, then surface the error.
@@ -798,9 +674,8 @@ std::vector<Result<uint32_t>> ShardedEngine::ApplyUpdateStream(
   std::vector<Result<uint32_t>> results(
       updates.size(), Status::Internal("update not applied"));
   for (size_t i = 0; i < updates.size(); ++i) {
-    results[i] = ApplyEdgeWeightUpdate(RouteOfUpdate(updates[i]), keys,
-                                       updates[i].u, updates[i].v,
-                                       updates[i].new_weight);
+    const StructuralUpdate op = updates[i];
+    results[i] = ApplyUpdates(RouteOfUpdate(updates[i]), keys, {&op, 1});
   }
   return results;
 }
@@ -853,8 +728,6 @@ ShardedStats ShardedEngine::GetStats() const {
     s.answer_micros =
         counters_[i].answer_nanos.load(std::memory_order_relaxed) / 1000;
     s.updates = counters_[i].updates.load(std::memory_order_relaxed);
-    s.structural_updates =
-        counters_[i].structural_updates.load(std::memory_order_relaxed);
     s.update_failures =
         counters_[i].update_failures.load(std::memory_order_relaxed);
     s.enqueued_updates =
@@ -892,7 +765,6 @@ ShardedStats ShardedEngine::GetStats() const {
     stats.totals.failures += s.failures;
     stats.totals.answer_micros += s.answer_micros;
     stats.totals.updates += s.updates;
-    stats.totals.structural_updates += s.structural_updates;
     stats.totals.update_failures += s.update_failures;
     stats.totals.enqueued_updates += s.enqueued_updates;
     stats.totals.coalesced_rotations += s.coalesced_rotations;

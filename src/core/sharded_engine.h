@@ -137,8 +137,7 @@ struct ShardStats {
   uint64_t queries = 0;         // answers routed to this shard
   uint64_t failures = 0;        // answers that returned an error Status
   uint64_t answer_micros = 0;   // total wall time spent answering
-  uint64_t updates = 0;         // edge updates absorbed (rotations may batch)
-  uint64_t structural_updates = 0;  // structural ops absorbed (batched alike)
+  uint64_t updates = 0;         // update ops absorbed (rotations may batch)
   uint64_t update_failures = 0; // update calls that returned an error Status
   uint64_t rotation_clone_bytes = 0;  // CoW bytes rotations actually copied
   // Coalescing-queue books (zero unless EnableUpdateQueues). Booked on the
@@ -171,7 +170,7 @@ struct ShardStats {
   uint64_t resync_failures = 0;  // heal attempts on this replica that failed
   uint64_t cross_group_serves = 0;  // OK answers served here for another group
   // Times this engine was rolled forward across groups after a partial
-  // fleet rotation (ApplyEdgeWeightUpdatesAllShards' self-repair).
+  // fleet rotation (ApplyUpdatesAllShards' self-repair).
   uint64_t fleet_rollforwards = 0;
   ProofCacheStats cache;
 };
@@ -238,25 +237,21 @@ class ShardedEngine {
   }
 
   /// Owner-side live batch update on one routing group: absorbs the whole
-  /// batch into ONE snapshot rotation per replica (one structural clone,
-  /// one signature at version + k each, applied lock-step in replica
-  /// order) while the group's traffic keeps serving (see
-  /// MethodEngine::ApplyEdgeWeightUpdates). Returns the group's new
-  /// certificate version; InvalidArgument for an out-of-range group. On a
-  /// failed replica the error returns immediately and later replicas stay
-  /// on the old version — a real mid-rotation fault, which bounded-
-  /// staleness clients (Client::SetStalenessBound) are built to ride out.
-  /// Before rotating, any replica left lagging by an earlier torn
-  /// rotation is first healed from its most advanced sibling (HealGroup),
-  /// so the lock-step invariant self-repairs instead of compounding.
-  Result<uint32_t> ApplyEdgeWeightUpdates(
-      size_t group, const RsaKeyPair& keys,
-      std::span<const EdgeWeightUpdate> updates);
-
-  /// Single-update wrapper: a batch of one.
-  Result<uint32_t> ApplyEdgeWeightUpdate(size_t group, const RsaKeyPair& keys,
-                                         NodeId u, NodeId v,
-                                         double new_weight);
+  /// op batch into ONE snapshot rotation per replica (one structural
+  /// clone, one signature at version + k each, applied lock-step in
+  /// replica order) while the group's traffic keeps serving (see
+  /// MethodEngine::ApplyUpdates), then publishes the next forest epoch in
+  /// forest mode. Returns the group's new certificate version;
+  /// InvalidArgument for an out-of-range group. On a failed replica the
+  /// error returns immediately and later replicas stay on the old version
+  /// — a real mid-rotation fault, which bounded-staleness clients
+  /// (Client::SetStalenessBound) are built to ride out. Before rotating,
+  /// any replica left lagging by an earlier torn rotation is first healed
+  /// from its most advanced sibling (HealGroup), so the lock-step
+  /// invariant self-repairs instead of compounding. DIJ fleets only;
+  /// FULL/LDM/HYP shards return FailedPrecondition.
+  Result<uint32_t> ApplyUpdates(size_t group, const RsaKeyPair& keys,
+                                std::span<const StructuralUpdate> ops);
 
   /// Owner-side heal of one routing group: any replica whose certificate
   /// version lags the group's most advanced sibling (the signature a torn
@@ -267,8 +262,8 @@ class ShardedEngine {
   /// replicas healed (0 when the group is already in lock-step); the
   /// first failed resync aborts with its (retryable) error. Fail point
   /// "replica/resync" fails the install (arg = engine index).
-  /// ApplyEdgeWeightUpdates calls this before every rotation so a torn
-  /// group converges instead of diverging batch by batch.
+  /// Every group rotation calls this first so a torn group converges
+  /// instead of diverging batch by batch.
   Result<size_t> HealGroup(size_t group);
 
   /// HealGroup over every group; returns the total replicas healed.
@@ -276,7 +271,7 @@ class ShardedEngine {
 
   /// Replicated deployments: absorbs the batch on *every* shard (one
   /// rotation each) so the replicas stay byte-transparent, and returns the
-  /// common new version. A failed group no longer aborts the walk: every
+  /// common new version. A failed group does not abort the walk: every
   /// group is attempted, and on a replicated fleet any group the rotation
   /// left behind is rolled FORWARD to the most advanced group's snapshot
   /// (cross-group AdoptStateFrom) before the first error returns — the
@@ -285,32 +280,8 @@ class ShardedEngine {
   /// ShardStats::fleet_rollforwards (and resyncs). Under forest mode the
   /// fleet signs ONE forest certificate for the whole rotation, after the
   /// roll-forward, so the published epoch always covers a uniform fleet.
-  Result<uint32_t> ApplyEdgeWeightUpdatesAllShards(
-      const RsaKeyPair& keys, std::span<const EdgeWeightUpdate> updates);
-
-  /// Single-update wrapper over the batched all-shards form.
-  Result<uint32_t> ApplyEdgeWeightUpdateAllShards(const RsaKeyPair& keys,
-                                                  NodeId u, NodeId v,
-                                                  double new_weight);
-
-  /// Structural twin of ApplyEdgeWeightUpdates (group form): absorbs the
-  /// op batch into ONE structural rotation per replica (lock-step, one
-  /// signature at version + k each — see MethodEngine::
-  /// ApplyStructuralUpdates), healing laggards first, publishing the next
-  /// forest epoch in forest mode. DIJ fleets only; FULL/LDM/HYP shards
-  /// return FailedPrecondition.
-  Result<uint32_t> ApplyStructuralUpdates(size_t group, const RsaKeyPair& keys,
-                                          std::span<const StructuralUpdate> ops);
-
-  /// Single-op wrapper: a batch of one.
-  Result<uint32_t> ApplyStructuralUpdate(size_t group, const RsaKeyPair& keys,
-                                         const StructuralUpdate& op);
-
-  /// Structural twin of ApplyEdgeWeightUpdatesAllShards: every group
-  /// absorbs the batch (every group attempted even after a failure, then
-  /// the replicated-fleet roll-forward repair, then one forest publish).
-  Result<uint32_t> ApplyStructuralUpdatesAllShards(
-      const RsaKeyPair& keys, std::span<const StructuralUpdate> ops);
+  Result<uint32_t> ApplyUpdatesAllShards(const RsaKeyPair& keys,
+                                         std::span<const StructuralUpdate> ops);
 
   /// Installs a coalescing UpdateQueue (core/update_queue.h) in front of
   /// the rotation paths. Per-group mode (fleet_lock_step == false): one
@@ -332,12 +303,15 @@ class ShardedEngine {
   /// and flushes immediately if a trigger fired — the returned bool says
   /// whether a flush ran. `now_micros` is the caller's clock (synthetic in
   /// tests/benchmarks); it feeds the staleness trigger and the lag gauge.
+  Result<bool> Enqueue(size_t queue, const RsaKeyPair& keys,
+                       const StructuralUpdate& op, uint64_t now_micros);
+
+  /// Enqueue of a bare re-weight (a kSetWeight op).
   Result<bool> EnqueueWeightUpdate(size_t queue, const RsaKeyPair& keys,
                                    const EdgeWeightUpdate& update,
-                                   uint64_t now_micros);
-  Result<bool> EnqueueStructuralUpdate(size_t queue, const RsaKeyPair& keys,
-                                       const StructuralUpdate& op,
-                                       uint64_t now_micros);
+                                   uint64_t now_micros) {
+    return Enqueue(queue, keys, update, now_micros);
+  }
 
   /// Staleness sweep: flushes every queue whose trigger fired (the owner's
   /// timer tick). Returns the number of ops drained.
@@ -399,8 +373,8 @@ class ShardedEngine {
   /// Rolls every engine that lags the fleet's most advanced certificate
   /// version forward by adopting that snapshot (cross-group on replicated
   /// fleets). Books ShardStats::fleet_rollforwards per engine healed and
-  /// returns the count. This is the repair ApplyEdgeWeightUpdatesAllShards
-  /// runs after a partial failure; exposed for owner tooling and tests.
+  /// returns the count. This is the repair ApplyUpdatesAllShards runs
+  /// after a partial failure; exposed for owner tooling and tests.
   /// FailedPrecondition on region fleets (another group's snapshot serves
   /// a different graph — adoption would be unsound).
   Result<size_t> RollFleetForward();
@@ -416,7 +390,6 @@ class ShardedEngine {
     std::atomic<uint64_t> failures{0};
     std::atomic<uint64_t> answer_nanos{0};
     std::atomic<uint64_t> updates{0};
-    std::atomic<uint64_t> structural_updates{0};
     std::atomic<uint64_t> update_failures{0};
     std::atomic<uint64_t> enqueued_updates{0};
     std::atomic<uint64_t> coalesced_rotations{0};
@@ -449,18 +422,13 @@ class ShardedEngine {
       std::span<std::shared_ptr<const EngineState>> snaps) const;
 
   /// One group's rotation WITHOUT the forest publish (the callers decide
-  /// whether the publish covers one group or the whole fleet). In forest
-  /// mode the per-replica rotations are defer-signed.
+  /// whether the publish covers one group or the whole fleet): heals
+  /// laggards, then lock-step rotations, defer-signed in forest mode.
   Result<uint32_t> RotateGroup(size_t group, const RsaKeyPair& keys,
-                               std::span<const EdgeWeightUpdate> updates);
+                               std::span<const StructuralUpdate> ops);
 
-  /// Structural twin of RotateGroup (heals, then lock-step structural
-  /// rotations, defer-signed in forest mode).
-  Result<uint32_t> RotateGroupStructural(size_t group, const RsaKeyPair& keys,
-                                         std::span<const StructuralUpdate> ops);
-
-  /// One queue's flush under its mutex: drains same-kind runs into the
-  /// group (or AllShards) rotation paths and books the queue counters on
+  /// One queue's flush under its mutex: drains max_batch runs into the
+  /// group (or AllShards) rotation path and books the queue counters on
   /// the preferred engine. Returns the number of ops drained.
   Result<size_t> FlushQueue(size_t queue, const RsaKeyPair& keys,
                             uint64_t now_micros);

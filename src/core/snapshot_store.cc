@@ -387,16 +387,13 @@ Result<RecoveryReport> RecoverDijEngine(const SnapshotStore& store,
           std::to_string(current));
     }
     if (record.base_version < current) {
-      if (record.base_version + record.Count() > current) {
+      if (record.base_version + record.updates.size() > current) {
         return Status::DataLoss("wal record straddles the snapshot version");
       }
       ++report.wal_records_skipped;  // already absorbed by the snapshot
       continue;
     }
-    auto applied =
-        record.kind == WalRecordKind::kStructural
-            ? report.engine->ApplyStructuralUpdates(keys, record.structural)
-            : report.engine->ApplyEdgeWeightUpdates(keys, record.updates);
+    auto applied = report.engine->ApplyUpdates(&keys, record.updates);
     if (!applied.ok()) {
       return Status::DataLoss("wal replay failed at version " +
                               std::to_string(current) + ": " +

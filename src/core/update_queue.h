@@ -2,12 +2,11 @@
 //
 // Every rotation costs a copy-on-write clone walk plus one RSA signature,
 // so an owner that rotates per arriving update pays the fixed cost K times
-// for K updates. This queue absorbs an ordered stream of mixed weight and
-// structural updates and releases them as BATCHES: a flush drains the
-// buffer in arrival order, split into maximal same-kind runs (weight runs
-// feed ApplyEdgeWeightUpdates, structural runs feed ApplyStructuralUpdates,
-// each run = one rotation = one signature). A storm of K updates collapses
-// into at most ceil(K / max_batch) rotations — the coalescing ratio
+// for K updates. This queue absorbs an ordered stream of update ops of any
+// kind (re-weights and shape changes alike) and releases them as BATCHES:
+// a flush drains the buffer in arrival order in runs of at most max_batch
+// ops, each run = one ApplyUpdates rotation = one signature. A storm of K
+// ops collapses into ceil(K / max_batch) rotations — the coalescing ratio
 // (flushed ops per rotation) is the win, the staleness lag (age of the
 // oldest buffered op at flush time) is the price.
 //
@@ -51,9 +50,9 @@ struct UpdateQueueOptions {
 };
 
 struct UpdateQueueStats {
-  uint64_t enqueued = 0;        // ops accepted (weight + structural)
+  uint64_t enqueued = 0;        // ops accepted
   uint64_t flushes = 0;         // Flush calls that drained at least one op
-  uint64_t rotations = 0;       // same-kind runs applied (one signature each)
+  uint64_t rotations = 0;       // runs applied (one signature each)
   uint64_t flushed_ops = 0;     // ops drained into rotations
   uint64_t max_lag_micros = 0;  // worst age of the oldest op at flush (gauge)
 
@@ -69,12 +68,8 @@ struct UpdateQueueStats {
 
 class UpdateQueue {
  public:
-  /// A weight run drains into one ApplyEdgeWeightUpdates rotation, a
-  /// structural run into one ApplyStructuralUpdates rotation.
-  using WeightFlushFn =
-      std::function<Status(std::span<const EdgeWeightUpdate>)>;
-  using StructuralFlushFn =
-      std::function<Status(std::span<const StructuralUpdate>)>;
+  /// A run drains into one ApplyUpdates rotation.
+  using FlushFn = std::function<Status(std::span<const StructuralUpdate>)>;
 
   explicit UpdateQueue(const UpdateQueueOptions& options)
       : options_(options) {
@@ -84,14 +79,8 @@ class UpdateQueue {
   }
 
   /// Buffers one op; returns true when a trigger now requests a flush.
-  bool EnqueueWeight(const EdgeWeightUpdate& update, uint64_t now_micros) {
-    pending_.push_back(Pending{false, update, StructuralUpdate{}, now_micros});
-    ++stats_.enqueued;
-    return ShouldFlush(now_micros);
-  }
-
-  bool EnqueueStructural(const StructuralUpdate& op, uint64_t now_micros) {
-    pending_.push_back(Pending{true, EdgeWeightUpdate{}, op, now_micros});
+  bool Enqueue(const StructuralUpdate& op, uint64_t now_micros) {
+    pending_.push_back(Pending{op, now_micros});
     ++stats_.enqueued;
     return ShouldFlush(now_micros);
   }
@@ -114,41 +103,24 @@ class UpdateQueue {
   const UpdateQueueOptions& options() const { return options_; }
   const UpdateQueueStats& stats() const { return stats_; }
 
-  /// Drains the whole buffer in arrival order as maximal same-kind runs of
-  /// at most max_batch ops each. A failed run stays buffered (with
-  /// everything behind it) and its error returns; runs already applied
-  /// before the fault are rotated and booked. The lag gauge records the
-  /// age of the oldest op drained by this call.
-  Status Flush(uint64_t now_micros, const WeightFlushFn& flush_weights,
-               const StructuralFlushFn& flush_structural) {
+  /// Drains the whole buffer in arrival order as runs of at most
+  /// max_batch ops each. A failed run stays buffered (with everything
+  /// behind it) and its error returns; runs already applied before the
+  /// fault are rotated and booked. The lag gauge records the age of the
+  /// oldest op drained by this call.
+  Status Flush(uint64_t now_micros, const FlushFn& flush) {
     if (pending_.empty()) {
       return Status::Ok();
     }
     const uint64_t lag = now_micros - pending_.front().enqueued_micros;
     bool drained_any = false;
     while (!pending_.empty()) {
-      // The run: a maximal same-kind prefix, capped at max_batch so one
-      // flush never exceeds the rotation size the owner asked for.
-      const bool structural = pending_.front().structural;
-      size_t run = 1;
-      while (run < pending_.size() && run < options_.max_batch &&
-             pending_[run].structural == structural) {
-        ++run;
+      const size_t run = std::min(pending_.size(), options_.max_batch);
+      run_.clear();
+      for (size_t i = 0; i < run; ++i) {
+        run_.push_back(pending_[i].op);
       }
-      Status applied;
-      if (structural) {
-        structural_run_.clear();
-        for (size_t i = 0; i < run; ++i) {
-          structural_run_.push_back(pending_[i].structural_op);
-        }
-        applied = flush_structural(structural_run_);
-      } else {
-        weight_run_.clear();
-        for (size_t i = 0; i < run; ++i) {
-          weight_run_.push_back(pending_[i].weight);
-        }
-        applied = flush_weights(weight_run_);
-      }
+      const Status applied = flush(run_);
       if (!applied.ok()) {
         // The failed run keeps its place at the front; the next flush
         // retries it before anything newer.
@@ -171,18 +143,14 @@ class UpdateQueue {
 
  private:
   struct Pending {
-    bool structural = false;
-    EdgeWeightUpdate weight;
-    StructuralUpdate structural_op;
+    StructuralUpdate op;
     uint64_t enqueued_micros = 0;
   };
 
   UpdateQueueOptions options_;
   std::deque<Pending> pending_;
   UpdateQueueStats stats_;
-  // Run scratch, reused across flushes.
-  std::vector<EdgeWeightUpdate> weight_run_;
-  std::vector<StructuralUpdate> structural_run_;
+  std::vector<StructuralUpdate> run_;  // run scratch, reused across flushes
 };
 
 }  // namespace spauth

@@ -7,53 +7,41 @@ namespace spauth {
 
 namespace {
 
-Status SealCertificate(DijAds* ads, const RsaKeyPair* keys, size_t batch);
-
-// Shared maintenance body; `keys` == nullptr defers the signature (forest
-// mode — the fleet layer signs once over all shard roots instead).
-Status ApplyUpdatesImpl(Graph* g, DijAds* ads, const RsaKeyPair* keys,
-                        std::span<const EdgeWeightUpdate> updates,
-                        size_t* copied_bytes) {
-  if (updates.empty()) {
-    return Status::Ok();
-  }
-  for (const EdgeWeightUpdate& up : updates) {
-    SPAUTH_RETURN_IF_ERROR(
-        g->SetEdgeWeight(up.u, up.v, up.new_weight, copied_bytes));
-
-    // Refresh the two affected tuples and their Merkle leaves. A chunk or
-    // Merkle path copied for an earlier update in this batch is uniquely
-    // owned by now, so overlapping updates copy nothing further.
-    for (NodeId node : {up.u, up.v}) {
-      ExtendedTuple tuple = ads->network.tuple(node);
-      const NodeId other = node == up.u ? up.v : up.u;
-      bool found = false;
-      for (NeighborEntry& e : tuple.neighbors) {
-        if (e.id == other) {
-          e.weight = up.new_weight;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::Internal("tuple adjacency out of sync with graph");
-      }
-      SPAUTH_RETURN_IF_ERROR(
-          ads->network.UpdateTuple(node, std::move(tuple), copied_bytes));
+// Rewrites the two endpoint tuples of the edge op `op` after the graph
+// absorbed it. A chunk or Merkle path copied for an earlier op in this
+// batch is uniquely owned by now, so overlapping ops copy nothing further.
+Status RewriteEndpointTuples(DijAds* ads, const StructuralUpdate& op,
+                             size_t* copied_bytes) {
+  for (NodeId node : {op.u, op.v}) {
+    ExtendedTuple tuple = ads->network.tuple(node);
+    std::vector<NeighborEntry>& neighbors = tuple.neighbors;
+    const NodeId other = node == op.u ? op.v : op.u;
+    const auto it = std::lower_bound(
+        neighbors.begin(), neighbors.end(), other,
+        [](const NeighborEntry& e, NodeId id) { return e.id < id; });
+    const bool present = it != neighbors.end() && it->id == other;
+    if (present == (op.kind == StructuralOpKind::kAddEdge)) {
+      return Status::Internal("tuple adjacency out of sync with graph");
     }
+    switch (op.kind) {
+      case StructuralOpKind::kAddEdge:
+        neighbors.insert(it, NeighborEntry{other, op.weight});
+        break;
+      case StructuralOpKind::kRemoveEdge:
+        neighbors.erase(it);
+        break;
+      default:  // kSetWeight
+        it->weight = op.weight;
+        break;
+    }
+    SPAUTH_RETURN_IF_ERROR(
+        ads->network.UpdateTuple(node, std::move(tuple), copied_bytes));
   }
-
-  // One signature for the whole batch, at version + k — byte-identical to
-  // k single-update re-signs landing on the same root and version (the old
-  // certificate stays cryptographically valid for the old root; freshness
-  // enforcement is an out-of-band policy, see MethodParams::version).
-  return SealCertificate(ads, keys, updates.size());
+  return Status::Ok();
 }
 
 // Seals the batch: one version bump of +k, refreshed leaf count, one
-// signature (or a defer-signed body in forest mode). Shared by the weight
-// and structural pipelines so both produce byte-identical certificates
-// for equal final state.
+// signature (or a defer-signed body in forest mode).
 Status SealCertificate(DijAds* ads, const RsaKeyPair* keys, size_t batch) {
   MethodParams params = ads->certificate.params;
   params.version += static_cast<uint32_t>(batch);
@@ -75,106 +63,34 @@ Status SealCertificate(DijAds* ads, const RsaKeyPair* keys, size_t batch) {
   return Status::Ok();
 }
 
-// Shared structural maintenance body; `keys` == nullptr defers the
-// signature exactly like ApplyUpdatesImpl.
-Status ApplyStructuralImpl(Graph* g, DijAds* ads, const RsaKeyPair* keys,
-                           std::span<const StructuralUpdate> ops,
-                           size_t* copied_bytes) {
+}  // namespace
+
+Status ApplyUpdates(Graph* g, DijAds* ads, const RsaKeyPair* keys,
+                    std::span<const StructuralUpdate> ops,
+                    size_t* copied_bytes) {
   if (ops.empty()) {
     return Status::Ok();
   }
   for (const StructuralUpdate& op : ops) {
-    switch (op.kind) {
-      case StructuralOpKind::kAddEdge: {
-        SPAUTH_RETURN_IF_ERROR(
-            g->AddEdge(op.u, op.v, op.weight, copied_bytes));
-        for (NodeId node : {op.u, op.v}) {
-          ExtendedTuple tuple = ads->network.tuple(node);
-          const NodeId other = node == op.u ? op.v : op.u;
-          const auto it = std::lower_bound(
-              tuple.neighbors.begin(), tuple.neighbors.end(), other,
-              [](const NeighborEntry& e, NodeId id) { return e.id < id; });
-          if (it != tuple.neighbors.end() && it->id == other) {
-            return Status::Internal("tuple adjacency out of sync with graph");
-          }
-          tuple.neighbors.insert(it, NeighborEntry{other, op.weight});
-          SPAUTH_RETURN_IF_ERROR(
-              ads->network.UpdateTuple(node, std::move(tuple), copied_bytes));
-        }
-        break;
-      }
-      case StructuralOpKind::kRemoveEdge: {
-        SPAUTH_RETURN_IF_ERROR(g->RemoveEdge(op.u, op.v, copied_bytes));
-        for (NodeId node : {op.u, op.v}) {
-          ExtendedTuple tuple = ads->network.tuple(node);
-          const NodeId other = node == op.u ? op.v : op.u;
-          const auto it = std::lower_bound(
-              tuple.neighbors.begin(), tuple.neighbors.end(), other,
-              [](const NeighborEntry& e, NodeId id) { return e.id < id; });
-          if (it == tuple.neighbors.end() || it->id != other) {
-            return Status::Internal("tuple adjacency out of sync with graph");
-          }
-          tuple.neighbors.erase(it);
-          SPAUTH_RETURN_IF_ERROR(
-              ads->network.UpdateTuple(node, std::move(tuple), copied_bytes));
-        }
-        break;
-      }
-      case StructuralOpKind::kAddVertex: {
-        SPAUTH_ASSIGN_OR_RETURN(const NodeId id,
-                                g->AddVertex(op.x, op.y, copied_bytes));
-        // The new node's base tuple (Eq. 1): coordinates, no neighbors —
-        // exactly what BuildBaseTuples would emit for an isolated node.
-        ExtendedTuple tuple;
-        tuple.id = id;
-        tuple.x = op.x;
-        tuple.y = op.y;
-        SPAUTH_RETURN_IF_ERROR(
-            ads->network.AppendNodeTuple(std::move(tuple), copied_bytes));
-        break;
-      }
-      default:
-        return Status::InvalidArgument("unknown structural op kind");
+    SPAUTH_RETURN_IF_ERROR(g->ApplyStructural(op, copied_bytes));
+    if (op.kind != StructuralOpKind::kAddVertex) {
+      SPAUTH_RETURN_IF_ERROR(RewriteEndpointTuples(ads, op, copied_bytes));
+      continue;
     }
+    // The new node's base tuple (Eq. 1): coordinates, no neighbors —
+    // exactly what BuildBaseTuples would emit for an isolated node.
+    ExtendedTuple tuple;
+    tuple.id = static_cast<NodeId>(g->num_nodes() - 1);
+    tuple.x = op.x;
+    tuple.y = op.y;
+    SPAUTH_RETURN_IF_ERROR(
+        ads->network.AppendNodeTuple(std::move(tuple), copied_bytes));
   }
+  // One signature for the whole batch, at version + k — byte-identical to
+  // k single-op re-signs landing on the same root and version (the old
+  // certificate stays cryptographically valid for the old root; freshness
+  // enforcement is an out-of-band policy, see MethodParams::version).
   return SealCertificate(ads, keys, ops.size());
-}
-
-}  // namespace
-
-Status ApplyEdgeWeightUpdates(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                              std::span<const EdgeWeightUpdate> updates,
-                              size_t* copied_bytes) {
-  return ApplyUpdatesImpl(g, ads, &keys, updates, copied_bytes);
-}
-
-Status ApplyEdgeWeightUpdatesUnsigned(Graph* g, DijAds* ads,
-                                      std::span<const EdgeWeightUpdate> updates,
-                                      size_t* copied_bytes) {
-  return ApplyUpdatesImpl(g, ads, nullptr, updates, copied_bytes);
-}
-
-Status UpdateEdgeWeight(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                        NodeId u, NodeId v, double new_weight) {
-  const EdgeWeightUpdate update{u, v, new_weight};
-  return ApplyEdgeWeightUpdates(g, ads, keys, {&update, 1});
-}
-
-Status ApplyStructuralUpdates(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                              std::span<const StructuralUpdate> ops,
-                              size_t* copied_bytes) {
-  return ApplyStructuralImpl(g, ads, &keys, ops, copied_bytes);
-}
-
-Status ApplyStructuralUpdatesUnsigned(Graph* g, DijAds* ads,
-                                      std::span<const StructuralUpdate> ops,
-                                      size_t* copied_bytes) {
-  return ApplyStructuralImpl(g, ads, nullptr, ops, copied_bytes);
-}
-
-Status ApplyStructuralUpdate(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                             const StructuralUpdate& op) {
-  return ApplyStructuralUpdates(g, ads, keys, {&op, 1});
 }
 
 }  // namespace spauth

@@ -1,24 +1,23 @@
 // Owner-side ADS maintenance: the copy-on-write building block behind
 // MethodEngine's snapshot rotations (DIJ only).
 //
-// Road networks change in two ways, and both are handled here:
+// Every road-network change is one StructuralUpdate op, and ApplyUpdates
+// absorbs an ordered batch of them, whatever their kinds:
 //
-//  - Re-weighting (roadworks, congestion): ApplyEdgeWeightUpdates. One
-//    weight change touches exactly two extended-tuples; the owner
-//    re-hashes those two leaves and recomputes the O(f log_f |V|) Merkle
-//    path over the tree's cached level digests — no re-hash of anything
-//    else.
-//  - Structural change (open a road, close one, add an intersection):
-//    ApplyStructuralUpdates over {AddEdge, RemoveEdge, AddVertex} ops.
-//    An edge splice rewrites the two endpoint tuples exactly like a
-//    re-weighting (plus the graph's CSR splice); AddVertex appends a
-//    fresh base tuple at the END of the certified leaf order, growing
-//    the Merkle tree by one leaf (MerkleTree::AppendLeaf) and bumping
-//    MethodParams::num_network_leaves. Appending — rather than
-//    re-sorting into the proximity ordering — keeps every existing leaf
-//    index stable, so the incremental result is byte-identical to a
-//    rebuild over (old order + appended tail); the ordering only ever
-//    affects proof sizes, never soundness.
+//  - kSetWeight (roadworks, congestion) rewrites the two endpoint tuples;
+//    the owner re-hashes those two leaves and recomputes the
+//    O(f log_f |V|) Merkle path over the tree's cached level digests — no
+//    re-hash of anything else.
+//  - kAddEdge / kRemoveEdge (open a road, close one) rewrite the same two
+//    tuples, plus the graph's CSR splice.
+//  - kAddVertex (add an intersection) appends a fresh base tuple at the
+//    END of the certified leaf order, growing the Merkle tree by one leaf
+//    (MerkleTree::AppendLeaf) and bumping
+//    MethodParams::num_network_leaves. Appending — rather than re-sorting
+//    into the proximity ordering — keeps every existing leaf index stable,
+//    so the incremental result is byte-identical to a rebuild over (old
+//    order + appended tail); the ordering only ever affects proof sizes,
+//    never soundness.
 //
 // The clone is as cheap as the crypto since the structures went
 // persistent: Graph, NetworkAds and MerkleTree hold their payload in
@@ -29,27 +28,27 @@
 // `copied_bytes` surfaces exactly those bytes (the engine aggregates them
 // into its rotation_clone_bytes metric).
 //
-// Batching: both entry points absorb k changes into ONE maintenance pass
-// with one version bump of +k and ONE certificate signature; singles are
-// wrappers over a batch of one. The result is byte-identical to applying
-// the k updates one at a time (same final tuples, same root, same
-// version, and RSA PKCS#1 v1.5 signing is deterministic), which the
-// batch-equivalence and structural differential tests assert. In front of
-// the engine, core/update_queue.h coalesces an update *storm* into few
-// such batches under a bounded-staleness knob — that is what makes the
+// Batching: a batch of k ops is ONE maintenance pass with one version
+// bump of +k and ONE certificate signature. The result is byte-identical
+// to applying the k ops one at a time, or as any split into smaller
+// batches (same final tuples, same root, same version, and RSA PKCS#1
+// v1.5 signing is deterministic), which the batch-equivalence and
+// structural differential tests assert. In front of the engine,
+// core/update_queue.h coalesces an update *storm* into few such batches
+// under a bounded-staleness knob — that is what makes the
 // one-signature-per-batch amortization real in a serving system.
 //
 // The engine never mutates live serving state: it clones the current
-// snapshot's graph and DIJ ADS (structurally shared), points these
-// functions at the *clones*, and publishes the result as a fresh
-// immutable EngineState (core/engine_state.h) while readers drain the old
-// snapshot — which keeps aliasing the untouched chunks (and, for
-// structural updates, the old shape's offsets and leaf map), safely,
-// because shared state is never written in place. Calling these functions
-// directly on owner-private state (as the owner-side tests and tools do)
-// remains supported — just never on state a live engine is serving from.
-// On an error return the graph/ADS pair may hold a partially applied
-// batch with the old certificate; discard the clones (the engine does).
+// snapshot's graph and DIJ ADS (structurally shared), points ApplyUpdates
+// at the *clones*, and publishes the result as a fresh immutable
+// EngineState (core/engine_state.h) while readers drain the old snapshot
+// — which keeps aliasing the untouched chunks (and, for shape changes,
+// the old shape's offsets and leaf map), safely, because shared state is
+// never written in place. Calling ApplyUpdates directly on owner-private
+// state (as the owner-side tests and tools do) remains supported — just
+// never on state a live engine is serving from. On an error return the
+// graph/ADS pair may hold a partially applied batch with the old
+// certificate; discard the clones (the engine does).
 //
 // The other methods materialize global distances (FULL's all-pairs matrix,
 // LDM's landmark vectors, HYP's hyper-edges); a weight or shape change can
@@ -67,53 +66,23 @@
 
 namespace spauth {
 
-/// Absorbs `updates` (in order; later entries win on a repeated edge) into
-/// both the graph and the DIJ ADS: refreshes the affected tuples, updates
-/// the Merkle tree incrementally, bumps the certificate version by
-/// `updates.size()` and signs ONCE. An empty batch is a no-op (no version
-/// bump, no signature). `g` must be the graph the ADS was built over (or a
-/// structurally shared clone, in the engine's copy-on-write flow).
-/// `copied_bytes`, when non-null, accumulates the bytes the copy-on-write
-/// chunk duplications actually copied. Not thread-safe: callers own the
-/// exclusivity of `g`/`ads`.
-Status ApplyEdgeWeightUpdates(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                              std::span<const EdgeWeightUpdate> updates,
-                              size_t* copied_bytes = nullptr);
-
-/// Forest-mode variant: absorbs the batch exactly like the signed form —
-/// same tuples, same root, same version + k — but leaves the certificate
-/// UNSIGNED (empty signature). Under a forest certificate the per-shard
-/// RSA signature is dead weight: the fleet layer authenticates the shard's
-/// certificate *body* through the forest root's one-per-epoch signature
-/// (core/forest_certificate.h), so per-shard rotations skip RSA entirely.
-Status ApplyEdgeWeightUpdatesUnsigned(Graph* g, DijAds* ads,
-                                      std::span<const EdgeWeightUpdate> updates,
-                                      size_t* copied_bytes = nullptr);
-
-/// Single-update wrapper: a batch of one (version + 1, one signature).
-Status UpdateEdgeWeight(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                        NodeId u, NodeId v, double new_weight);
-
-/// Absorbs a batch of structural ops (in order — later ops may reference
-/// vertices or edges earlier ops created) into the graph and the DIJ ADS:
-/// splices the CSR, refreshes/appends the affected tuples and Merkle
-/// leaves, refreshes MethodParams::num_network_leaves, bumps the version
-/// by `ops.size()` and signs ONCE. An empty batch is a no-op. Same
-/// contracts as ApplyEdgeWeightUpdates otherwise (copy-on-write clones,
-/// `copied_bytes` accounting, partial application on error).
-Status ApplyStructuralUpdates(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                              std::span<const StructuralUpdate> ops,
-                              size_t* copied_bytes = nullptr);
-
-/// Forest-mode variant: identical certificate body, no per-shard RSA
-/// signature (see ApplyEdgeWeightUpdatesUnsigned).
-Status ApplyStructuralUpdatesUnsigned(Graph* g, DijAds* ads,
-                                      std::span<const StructuralUpdate> ops,
-                                      size_t* copied_bytes = nullptr);
-
-/// Single-op wrapper: a batch of one (version + 1, one signature).
-Status ApplyStructuralUpdate(Graph* g, DijAds* ads, const RsaKeyPair& keys,
-                             const StructuralUpdate& op);
+/// Absorbs `ops` in order (later ops win on a repeated edge, and may
+/// reference vertices or edges earlier ops created) into both the graph
+/// and the DIJ ADS: applies each op to the graph, refreshes or appends
+/// the affected tuples and Merkle leaves, refreshes
+/// MethodParams::num_network_leaves, bumps the certificate version by
+/// `ops.size()` and signs ONCE with `keys`. `keys` == nullptr is forest
+/// mode: the identical certificate body is left UNSIGNED, because the
+/// fleet layer authenticates it through the forest root's one-per-epoch
+/// signature (core/forest_certificate.h). An empty batch is a no-op (no
+/// version bump, no signature). `g` must be the graph the ADS was built
+/// over (or a structurally shared clone, in the engine's copy-on-write
+/// flow). `copied_bytes`, when non-null, accumulates the bytes the
+/// copy-on-write chunk duplications actually copied. Not thread-safe:
+/// callers own the exclusivity of `g`/`ads`.
+Status ApplyUpdates(Graph* g, DijAds* ads, const RsaKeyPair* keys,
+                    std::span<const StructuralUpdate> ops,
+                    size_t* copied_bytes = nullptr);
 
 }  // namespace spauth
 

@@ -34,19 +34,10 @@ Status WriteAll(int fd, const uint8_t* data, size_t size) {
 }  // namespace
 
 void WalRecord::Serialize(ByteWriter* out) const {
-  out->WriteU8(static_cast<uint8_t>(kind));
+  out->WriteU8(static_cast<uint8_t>(WalRecordKind::kUpdates));
   out->WriteU32(base_version);
-  if (kind == WalRecordKind::kEdgeWeights) {
-    out->WriteU32(static_cast<uint32_t>(updates.size()));
-    for (const EdgeWeightUpdate& u : updates) {
-      out->WriteU32(u.u);
-      out->WriteU32(u.v);
-      out->WriteF64(u.new_weight);
-    }
-    return;
-  }
-  out->WriteU32(static_cast<uint32_t>(structural.size()));
-  for (const StructuralUpdate& op : structural) {
+  out->WriteU32(static_cast<uint32_t>(updates.size()));
+  for (const StructuralUpdate& op : updates) {
     // Fixed layout regardless of op kind: replay must be byte-exact, and a
     // uniform 33-byte op keeps the count-vs-remaining check trivial.
     out->WriteU8(static_cast<uint8_t>(op.kind));
@@ -59,53 +50,42 @@ void WalRecord::Serialize(ByteWriter* out) const {
 }
 
 Status WalRecord::DeserializeInto(ByteReader* in, WalRecord* out) {
-  uint8_t kind_byte = 0;
-  SPAUTH_RETURN_IF_ERROR(in->ReadU8(&kind_byte));
-  if (kind_byte != static_cast<uint8_t>(WalRecordKind::kEdgeWeights) &&
-      kind_byte != static_cast<uint8_t>(WalRecordKind::kStructural)) {
+  uint8_t kind = 0;
+  SPAUTH_RETURN_IF_ERROR(in->ReadU8(&kind));
+  const bool legacy = kind == static_cast<uint8_t>(WalRecordKind::kEdgeWeights);
+  if (!legacy && kind != static_cast<uint8_t>(WalRecordKind::kUpdates)) {
     // A kind this build cannot interpret: the record is whole (the CRC
     // passed) but replaying around it would silently lose an update batch.
     return Status::DataLoss("wal record kind unknown to this build");
   }
-  out->kind = static_cast<WalRecordKind>(kind_byte);
   SPAUTH_RETURN_IF_ERROR(in->ReadU32(&out->base_version));
   uint32_t count = 0;
   SPAUTH_RETURN_IF_ERROR(in->ReadU32(&count));
+  if (static_cast<size_t>(count) * (legacy ? 16 : 33) > in->remaining()) {
+    return Status::Malformed("wal record op count exceeds payload");
+  }
   out->updates.clear();
-  out->structural.clear();
-  if (out->kind == WalRecordKind::kEdgeWeights) {
-    if (static_cast<size_t>(count) * 16 > in->remaining()) {
-      return Status::Malformed("wal record update count exceeds payload");
-    }
-    out->updates.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      EdgeWeightUpdate u;
-      SPAUTH_RETURN_IF_ERROR(in->ReadU32(&u.u));
-      SPAUTH_RETURN_IF_ERROR(in->ReadU32(&u.v));
-      SPAUTH_RETURN_IF_ERROR(in->ReadF64(&u.new_weight));
-      out->updates.push_back(u);
-    }
-  } else {
-    if (static_cast<size_t>(count) * 33 > in->remaining()) {
-      return Status::Malformed("wal record op count exceeds payload");
-    }
-    out->structural.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      StructuralUpdate op;
+  out->updates.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    StructuralUpdate op;
+    op.kind = StructuralOpKind::kSetWeight;  // the legacy kind's only op
+    if (!legacy) {
       uint8_t op_kind = 0;
       SPAUTH_RETURN_IF_ERROR(in->ReadU8(&op_kind));
       if (op_kind < static_cast<uint8_t>(StructuralOpKind::kAddEdge) ||
-          op_kind > static_cast<uint8_t>(StructuralOpKind::kAddVertex)) {
-        return Status::DataLoss("wal structural op kind unknown to this build");
+          op_kind > static_cast<uint8_t>(StructuralOpKind::kSetWeight)) {
+        return Status::DataLoss("wal op kind unknown to this build");
       }
       op.kind = static_cast<StructuralOpKind>(op_kind);
-      SPAUTH_RETURN_IF_ERROR(in->ReadU32(&op.u));
-      SPAUTH_RETURN_IF_ERROR(in->ReadU32(&op.v));
-      SPAUTH_RETURN_IF_ERROR(in->ReadF64(&op.weight));
+    }
+    SPAUTH_RETURN_IF_ERROR(in->ReadU32(&op.u));
+    SPAUTH_RETURN_IF_ERROR(in->ReadU32(&op.v));
+    SPAUTH_RETURN_IF_ERROR(in->ReadF64(&op.weight));
+    if (!legacy) {
       SPAUTH_RETURN_IF_ERROR(in->ReadF64(&op.x));
       SPAUTH_RETURN_IF_ERROR(in->ReadF64(&op.y));
-      out->structural.push_back(op);
     }
+    out->updates.push_back(op);
   }
   if (!in->AtEnd()) {
     return Status::Malformed("trailing bytes after wal record");

@@ -1,9 +1,9 @@
 // Update write-ahead log — the durable half of the owner's rotation path.
 //
-// Every ApplyEdgeWeightUpdates batch is appended here (one CRC-framed
-// record, flushed to stable storage) BEFORE the rotation publishes, so a
-// crash at any point of the rotation loses at most work the caller was
-// never told succeeded:
+// Every ApplyUpdates batch is appended here (one CRC-framed record,
+// flushed to stable storage) BEFORE the rotation publishes, so a crash at
+// any point of the rotation loses at most work the caller was never told
+// succeeded:
 //
 //   crash before the append      the batch simply never happened;
 //   crash mid-append (torn tail) replay detects the torn record and stops
@@ -17,13 +17,15 @@
 // Records carry the base version they apply on top of, so replay after a
 // snapshot skips the prefix the snapshot already absorbed and detects
 // gaps (a WAL that starts beyond the snapshot's version is data loss, not
-// a torn tail). Records are TYPED: the payload leads with a kind byte
-// (edge re-weighting vs structural batch), so a replayer that meets a
-// record it cannot interpret refuses with kDataLoss instead of
+// a torn tail). Records are TYPED: the payload leads with a kind byte, and
+// every op inside leads with its op kind, so a replayer that meets a
+// record or op it cannot interpret refuses with kDataLoss instead of
 // mis-parsing it — an unknown kind is never silently skipped and never
 // mistaken for a torn tail (a tear breaks the CRC; a CRC-clean frame was
-// written whole). See src/util/crc32.h for the record framing and
-// src/core/snapshot_store.h for the checkpoint side.
+// written whole). The writer emits one record kind for every batch; the
+// older re-weight-only kind still decodes so logs written before the
+// pipelines merged replay unchanged. See src/util/crc32.h for the record
+// framing and src/core/snapshot_store.h for the checkpoint side.
 #ifndef SPAUTH_CORE_WAL_H_
 #define SPAUTH_CORE_WAL_H_
 
@@ -40,30 +42,25 @@ namespace spauth {
 /// The record-type tag leading every WAL payload. Values are part of the
 /// on-disk format — never renumber, only append.
 enum class WalRecordKind : uint8_t {
-  kEdgeWeights = 1,  // a batch of edge re-weightings
-  kStructural = 2,   // a batch of structural ops (add/remove edge, add vertex)
+  // Decode only: a re-weight batch, 16 bytes per op (u32 u, u32 v, f64 w),
+  // replayed as kSetWeight ops.
+  kEdgeWeights = 1,
+  // A batch of update ops of any kind, 33 bytes per op (u8 kind, u32 u,
+  // u32 v, f64 weight, f64 x, f64 y). The only kind the writer emits.
+  kUpdates = 2,
 };
 
 /// One durable update batch: the certificate version it applies on top of
-/// plus the ops, in application order. Exactly one of `updates` /
-/// `structural` is populated, selected by `kind`.
+/// plus the ops, in application order (ops.size() is the version delta it
+/// drives).
 struct WalRecord {
-  WalRecordKind kind = WalRecordKind::kEdgeWeights;
   uint32_t base_version = 0;
-  std::vector<EdgeWeightUpdate> updates;      // kind == kEdgeWeights
-  std::vector<StructuralUpdate> structural;   // kind == kStructural
-
-  /// Ops in the record — the version delta it drives (replay arithmetic
-  /// treats weight and structural batches uniformly through this).
-  size_t Count() const {
-    return kind == WalRecordKind::kEdgeWeights ? updates.size()
-                                               : structural.size();
-  }
+  std::vector<StructuralUpdate> updates;
 
   void Serialize(ByteWriter* out) const;
   /// kDataLoss when the record leads with a kind this build cannot
-  /// interpret (or a structural op kind it cannot); Malformed for byte-
-  /// level decode failures inside a known kind.
+  /// interpret (or an op kind it cannot); Malformed for byte-level decode
+  /// failures inside a known kind.
   static Status DeserializeInto(ByteReader* in, WalRecord* out);
 };
 

@@ -35,33 +35,36 @@ static_assert(kLanes == 8, "lane transforms below are written for 8 lanes");
 // stream instead of serializing on one state's dependency chain.
 typedef uint32_t Vu32 __attribute__((vector_size(4 * kLanes)));
 
-inline Vu32 Rotl(Vu32 x, int k) { return (x << k) | (x >> (32 - k)); }
-inline Vu32 Rotr(Vu32 x, int k) { return (x >> k) | (x << (32 - k)); }
-inline Vu32 Broadcast(uint32_t v) { return Vu32{v, v, v, v, v, v, v, v}; }
+// No helper passes or returns a Vu32 by value: a 32-byte vector in a
+// function signature has an ABI that depends on whether AVX is enabled
+// (GCC's -Wpsabi). Rotations and broadcasts are macros over the vector
+// operators instead, and block loads write through a pointer.
+#define SPAUTH_VROTL(x, k) (((x) << (k)) | ((x) >> (32 - (k))))
+#define SPAUTH_VROTR(x, k) (((x) >> (k)) | ((x) << (32 - (k))))
+#define SPAUTH_VBROADCAST(v) (Vu32{} + static_cast<uint32_t>(v))
 
-// Loads message word i of each lane's current block, transposed into one
-// vector (big-endian, FIPS 180-4). The gather is scalar; the schedule and
-// rounds that dominate the work are vectorized.
-inline Vu32 LoadWord(const uint8_t* const ptrs[kLanes], int i) {
-  Vu32 v{};
-  for (size_t l = 0; l < kLanes; ++l) {
-    const uint8_t* p = ptrs[l] + 4 * i;
-    v[l] = (static_cast<uint32_t>(p[0]) << 24) |
-           (static_cast<uint32_t>(p[1]) << 16) |
-           (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
+// Loads the 16 message words of each lane's current block, transposed
+// into one vector per word (big-endian, FIPS 180-4). The gather is scalar;
+// the schedule and rounds that dominate the work are vectorized.
+inline void LoadBlock(const uint8_t* const ptrs[kLanes], Vu32 w[16]) {
+  for (int i = 0; i < 16; ++i) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      const uint8_t* p = ptrs[l] + 4 * i;
+      w[i][l] = (static_cast<uint32_t>(p[0]) << 24) |
+                (static_cast<uint32_t>(p[1]) << 16) |
+                (static_cast<uint32_t>(p[2]) << 8) |
+                static_cast<uint32_t>(p[3]);
+    }
   }
-  return v;
 }
 
 // SHA-1 compression over one 64-byte block per lane. Mirrors
 // Hasher::ProcessBlock word for word, with every uint32_t widened to Vu32.
 void Sha1Rounds(Vu32 h[5], const uint8_t* const ptrs[kLanes]) {
   Vu32 w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadWord(ptrs, i);
-  }
+  LoadBlock(ptrs, w);
   for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    w[i] = SPAUTH_VROTL(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
   Vu32 a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
   for (int i = 0; i < 80; ++i) {
@@ -80,10 +83,10 @@ void Sha1Rounds(Vu32 h[5], const uint8_t* const ptrs[kLanes]) {
       f = b ^ c ^ d;
       k = 0xca62c1d6;
     }
-    Vu32 tmp = Rotl(a, 5) + f + e + Broadcast(k) + w[i];
+    Vu32 tmp = SPAUTH_VROTL(a, 5) + f + e + SPAUTH_VBROADCAST(k) + w[i];
     e = d;
     d = c;
-    c = Rotl(b, 30);
+    c = SPAUTH_VROTL(b, 30);
     b = a;
     a = tmp;
   }
@@ -110,21 +113,21 @@ constexpr uint32_t kSha256K[64] = {
 
 void Sha256Rounds(Vu32 h[8], const uint8_t* const ptrs[kLanes]) {
   Vu32 w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = LoadWord(ptrs, i);
-  }
+  LoadBlock(ptrs, w);
   for (int i = 16; i < 64; ++i) {
-    Vu32 s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    Vu32 s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    Vu32 s0 = SPAUTH_VROTR(w[i - 15], 7) ^ SPAUTH_VROTR(w[i - 15], 18) ^
+              (w[i - 15] >> 3);
+    Vu32 s1 = SPAUTH_VROTR(w[i - 2], 17) ^ SPAUTH_VROTR(w[i - 2], 19) ^
+              (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
   Vu32 a = h[0], b = h[1], c = h[2], d = h[3];
   Vu32 e = h[4], f = h[5], g = h[6], hh = h[7];
   for (int i = 0; i < 64; ++i) {
-    Vu32 s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+    Vu32 s1 = SPAUTH_VROTR(e, 6) ^ SPAUTH_VROTR(e, 11) ^ SPAUTH_VROTR(e, 25);
     Vu32 ch = (e & f) ^ (~e & g);
-    Vu32 t1 = hh + s1 + ch + Broadcast(kSha256K[i]) + w[i];
-    Vu32 s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+    Vu32 t1 = hh + s1 + ch + SPAUTH_VBROADCAST(kSha256K[i]) + w[i];
+    Vu32 s0 = SPAUTH_VROTR(a, 2) ^ SPAUTH_VROTR(a, 13) ^ SPAUTH_VROTR(a, 22);
     Vu32 maj = (a & b) ^ (a & c) ^ (b & c);
     Vu32 t2 = s0 + maj;
     hh = g;
@@ -179,20 +182,20 @@ void HashLanesEqualSize(HashAlgorithm alg, size_t n,
   Vu32 h[8];
   const size_t words = alg == HashAlgorithm::kSha1 ? 5 : 8;
   if (alg == HashAlgorithm::kSha1) {
-    h[0] = Broadcast(0x67452301);
-    h[1] = Broadcast(0xefcdab89);
-    h[2] = Broadcast(0x98badcfe);
-    h[3] = Broadcast(0x10325476);
-    h[4] = Broadcast(0xc3d2e1f0);
+    h[0] = SPAUTH_VBROADCAST(0x67452301);
+    h[1] = SPAUTH_VBROADCAST(0xefcdab89);
+    h[2] = SPAUTH_VBROADCAST(0x98badcfe);
+    h[3] = SPAUTH_VBROADCAST(0x10325476);
+    h[4] = SPAUTH_VBROADCAST(0xc3d2e1f0);
   } else {
-    h[0] = Broadcast(0x6a09e667);
-    h[1] = Broadcast(0xbb67ae85);
-    h[2] = Broadcast(0x3c6ef372);
-    h[3] = Broadcast(0xa54ff53a);
-    h[4] = Broadcast(0x510e527f);
-    h[5] = Broadcast(0x9b05688c);
-    h[6] = Broadcast(0x1f83d9ab);
-    h[7] = Broadcast(0x5be0cd19);
+    h[0] = SPAUTH_VBROADCAST(0x6a09e667);
+    h[1] = SPAUTH_VBROADCAST(0xbb67ae85);
+    h[2] = SPAUTH_VBROADCAST(0x3c6ef372);
+    h[3] = SPAUTH_VBROADCAST(0xa54ff53a);
+    h[4] = SPAUTH_VBROADCAST(0x510e527f);
+    h[5] = SPAUTH_VBROADCAST(0x9b05688c);
+    h[6] = SPAUTH_VBROADCAST(0x1f83d9ab);
+    h[7] = SPAUTH_VBROADCAST(0x5be0cd19);
   }
 
   const uint8_t* ptrs[kLanes];
@@ -224,6 +227,10 @@ void HashLanesEqualSize(HashAlgorithm alg, size_t n,
 }
 
 }  // namespace
+
+#undef SPAUTH_VROTL
+#undef SPAUTH_VROTR
+#undef SPAUTH_VBROADCAST
 
 #endif  // SPAUTH_SHA_MULTIBUF_SIMD
 

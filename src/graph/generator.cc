@@ -209,7 +209,7 @@ std::string_view DatasetName(Dataset d) {
 
 RoadNetworkOptions DatasetOptions(Dataset d) {
   RoadNetworkOptions options;
-  // Calibration note (see DESIGN.md "Substitutions"): the paper normalizes
+  // Calibration note: the paper normalizes
   // coordinates to [0, 10000]^2, but its query ranges (250..8000) reach a
   // large fraction of the network — at the default range 2000, DIJ's proof
   // covers ~88% of DE's nodes. We reproduce that *distance spectrum* by

@@ -186,6 +186,8 @@ Result<NodeId> Graph::AddVertex(double x, double y, size_t* copied_bytes) {
 Status Graph::ApplyStructural(const StructuralUpdate& op,
                               size_t* copied_bytes) {
   switch (op.kind) {
+    case StructuralOpKind::kSetWeight:
+      return SetEdgeWeight(op.u, op.v, op.weight, copied_bytes);
     case StructuralOpKind::kAddEdge:
       return AddEdge(op.u, op.v, op.weight, copied_bytes);
     case StructuralOpKind::kRemoveEdge:

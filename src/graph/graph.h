@@ -44,48 +44,34 @@ struct Edge {
   double weight;
 };
 
-/// One owner-side edge re-weighting — the unit of the update pipeline
-/// (core/updates.h absorbs batches of these into one ADS refresh;
-/// ShardedEngine routes them like queries).
-struct EdgeWeightUpdate {
-  NodeId u = 0;
-  NodeId v = 0;
-  double new_weight = 0;
-};
-
-/// One owner-side structural edit: open a road, close one, add an
-/// intersection. The unit of the structural update pipeline —
-/// core/updates.h absorbs batches of these into one signed rotation, and
-/// the WAL logs them as typed records so recovery replays them
-/// byte-identically.
+/// One owner-side update op: re-weight a road, open one, close one, add
+/// an intersection. The unit of the update pipeline — core/updates.h
+/// absorbs ordered batches of these into one signed rotation, and the WAL
+/// logs them so recovery replays them byte-identically. Values are part of
+/// the WAL format — never renumber, only append.
 enum class StructuralOpKind : uint8_t {
   kAddEdge = 1,     // insert undirected edge (u, v) with `weight`
   kRemoveEdge = 2,  // delete undirected edge (u, v)
   kAddVertex = 3,   // append an isolated node at (x, y)
+  kSetWeight = 4,   // re-weight existing edge (u, v) to `weight`
 };
 
 struct StructuralUpdate {
   StructuralOpKind kind = StructuralOpKind::kAddEdge;
-  NodeId u = kInvalidNode;  // kAddEdge / kRemoveEdge endpoints
+  NodeId u = kInvalidNode;  // edge endpoints (every kind but kAddVertex)
   NodeId v = kInvalidNode;
-  double weight = 0;  // kAddEdge
+  double weight = 0;  // kAddEdge / kSetWeight
   double x = 0;       // kAddVertex coordinates
   double y = 0;
 
+  static StructuralUpdate SetWeight(NodeId u, NodeId v, double weight) {
+    return EdgeOp(StructuralOpKind::kSetWeight, u, v, weight);
+  }
   static StructuralUpdate AddEdge(NodeId u, NodeId v, double weight) {
-    StructuralUpdate op;
-    op.kind = StructuralOpKind::kAddEdge;
-    op.u = u;
-    op.v = v;
-    op.weight = weight;
-    return op;
+    return EdgeOp(StructuralOpKind::kAddEdge, u, v, weight);
   }
   static StructuralUpdate RemoveEdge(NodeId u, NodeId v) {
-    StructuralUpdate op;
-    op.kind = StructuralOpKind::kRemoveEdge;
-    op.u = u;
-    op.v = v;
-    return op;
+    return EdgeOp(StructuralOpKind::kRemoveEdge, u, v, 0);
   }
   static StructuralUpdate AddVertex(double x, double y) {
     StructuralUpdate op;
@@ -93,6 +79,29 @@ struct StructuralUpdate {
     op.x = x;
     op.y = y;
     return op;
+  }
+
+ private:
+  static StructuralUpdate EdgeOp(StructuralOpKind kind, NodeId u, NodeId v,
+                                 double weight) {
+    StructuralUpdate op;
+    op.kind = kind;
+    op.u = u;
+    op.v = v;
+    op.weight = weight;
+    return op;
+  }
+};
+
+/// A bare edge re-weighting, kept as the compact form re-weight-only
+/// callers build; it converts to the equivalent kSetWeight op.
+struct EdgeWeightUpdate {
+  NodeId u = 0;
+  NodeId v = 0;
+  double new_weight = 0;
+
+  operator StructuralUpdate() const {
+    return StructuralUpdate::SetWeight(u, v, new_weight);
   }
 };
 
@@ -173,7 +182,7 @@ class Graph {
   /// when the last one is full.
   Result<NodeId> AddVertex(double x, double y, size_t* copied_bytes = nullptr);
 
-  /// Applies one structural op (dispatch over StructuralOpKind).
+  /// Applies one update op (dispatch over StructuralOpKind).
   Status ApplyStructural(const StructuralUpdate& op,
                          size_t* copied_bytes = nullptr);
 

@@ -42,6 +42,7 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::OneSetWeight;
 
 std::unique_ptr<ShardedEngine> MakeFleet(size_t num_groups,
                                          const FailoverOptions& failover,
@@ -305,14 +306,16 @@ TEST(FailoverTest, DeadlineHitBooksOnTheRoutedHomeGroup) {
   }
   FailoverOptions failover;
   failover.max_attempts = 4;
-  // Timing: attempt 0 fails on engine 0 and sleeps 1500-2250us (jitter
-  // adds at most +50%), safely inside the 3000us budget; attempt 1 then
+  // Timing: attempt 0 fails on engine 0 and sleeps 15-22.5ms (jitter
+  // adds at most +50%), safely inside the 30ms budget; attempt 1 then
   // spills to group 1 (engine 0's breaker tripped on the first failure),
   // fails there, and its backoff sleep is clamped to exactly the remaining
   // budget — so attempt 2's loop-top deadline check fires with the spill
   // target as the last attempted engine. That is the booking-skew window.
-  failover.backoff_base_us = 1500;
-  failover.deadline_us = 3000;
+  // The budget leaves >= 7.5ms for attempt 0 and the sleep's overshoot: a
+  // loaded host misses a sub-millisecond margin.
+  failover.backoff_base_us = 15000;
+  failover.deadline_us = 30000;
   failover.enable_breakers = true;
   failover.breaker.window = 4;
   failover.breaker.min_samples = 1;  // one failure trips a breaker
@@ -416,8 +419,8 @@ class RotationFaultTest : public ::testing::Test {
   void ExpectFrozenThenRecovered(const char* point) {
     const auto& ctx = CoreTestContext::Get();
     FailPointRegistry::Global().ArmOneShot(point);
-    auto failed = engine_->ApplyEdgeWeightUpdate(ctx.keys, u_, v_,
-                                                 weight_ * 2);
+    auto failed =
+        engine_->ApplyUpdates(&ctx.keys, OneSetWeight(u_, v_, weight_ * 2));
     ASSERT_FALSE(failed.ok()) << point << " did not fire";
     EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
     EXPECT_EQ(FailPointRegistry::Global().GetStats(point).fires, 1u);
@@ -435,8 +438,8 @@ class RotationFaultTest : public ::testing::Test {
 
     // One-shot points fire once: the retry goes through and rotates.
     FailPointRegistry::Global().Disarm(point);
-    auto retried = engine_->ApplyEdgeWeightUpdate(ctx.keys, u_, v_,
-                                                  weight_ * 2);
+    auto retried =
+        engine_->ApplyUpdates(&ctx.keys, OneSetWeight(u_, v_, weight_ * 2));
     ASSERT_TRUE(retried.ok()) << retried.status().ToString();
     EXPECT_EQ(retried.value(), version_before_ + 1);
     auto fresh = engine_->Answer(query_);
@@ -588,12 +591,13 @@ void RunChaosCampaign(uint64_t seed) {
     for (size_t i = 0; i < kChaosWriterRotations; ++i) {
       const size_t group = i % kChaosGroups;
       const size_t batch_edges = 1 + rng.NextBounded(2);
-      std::vector<EdgeWeightUpdate> batch;
+      std::vector<StructuralUpdate> batch;
       for (size_t j = 0; j < batch_edges; ++j) {
         const UndirectedEdge& e = edges[rng.NextBounded(edges.size())];
-        batch.push_back({e.u, e.v, e.weight * rng.NextDoubleIn(0.5, 2.0)});
+        batch.push_back(StructuralUpdate::SetWeight(
+            e.u, e.v, e.weight * rng.NextDoubleIn(0.5, 2.0)));
       }
-      auto applied = fleet->ApplyEdgeWeightUpdates(group, ctx.keys, batch);
+      auto applied = fleet->ApplyUpdates(group, ctx.keys, batch);
       if (!applied.ok()) {
         // Explicit failure with zero torn state per engine; the book
         // below still records any replica that rotated before the fault.

@@ -12,6 +12,7 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::OneSetWeight;
 
 TEST(WireClientTest, VerifiesAllMethodsWithoutAnEngine) {
   const auto& ctx = CoreTestContext::Get();
@@ -97,11 +98,13 @@ class ClientWatermarkTest : public ::testing::Test {
     const NodeId u = v0.value().path.nodes[0];
     const NodeId v = v0.value().path.nodes[1];
     const double w = ctx.graph.EdgeWeight(u, v).value();
-    ASSERT_TRUE(engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, w * 2).ok());
+    ASSERT_TRUE(
+        engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, w * 2)).ok());
     auto v1 = engine->Answer(query_);
     ASSERT_TRUE(v1.ok());
     v1_bytes_ = v1.value().bytes;
-    ASSERT_TRUE(engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, w * 3).ok());
+    ASSERT_TRUE(
+        engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, w * 3)).ok());
     auto v2 = engine->Answer(query_);
     ASSERT_TRUE(v2.ok());
     v2_bytes_ = v2.value().bytes;

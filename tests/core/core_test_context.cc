@@ -64,7 +64,6 @@ ShardStats ExpectShardStatsConserve(const ShardedStats& stats) {
     sum.failures += s.failures;
     sum.answer_micros += s.answer_micros;
     sum.updates += s.updates;
-    sum.structural_updates += s.structural_updates;
     sum.update_failures += s.update_failures;
     sum.enqueued_updates += s.enqueued_updates;
     sum.coalesced_rotations += s.coalesced_rotations;
@@ -96,7 +95,6 @@ ShardStats ExpectShardStatsConserve(const ShardedStats& stats) {
   EXPECT_EQ(stats.totals.failures, sum.failures);
   EXPECT_EQ(stats.totals.answer_micros, sum.answer_micros);
   EXPECT_EQ(stats.totals.updates, sum.updates);
-  EXPECT_EQ(stats.totals.structural_updates, sum.structural_updates);
   EXPECT_EQ(stats.totals.update_failures, sum.update_failures);
   EXPECT_EQ(stats.totals.enqueued_updates, sum.enqueued_updates);
   EXPECT_EQ(stats.totals.coalesced_rotations, sum.coalesced_rotations);

@@ -3,6 +3,7 @@
 #ifndef SPAUTH_TESTS_CORE_CORE_TEST_CONTEXT_H_
 #define SPAUTH_TESTS_CORE_CORE_TEST_CONTEXT_H_
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,13 @@ struct CoreTestContext {
 /// observed. Returns the recomputed aggregate so callers can assert
 /// workload-specific expectations against it without re-summing.
 ShardStats ExpectShardStatsConserve(const ShardedStats& stats);
+
+/// A batch of one kSetWeight op. `std::span` has no initializer-list
+/// constructor, so single re-weight call sites pass this array instead.
+inline std::array<StructuralUpdate, 1> OneSetWeight(NodeId u, NodeId v,
+                                                    double weight) {
+  return {StructuralUpdate::SetWeight(u, v, weight)};
+}
 
 }  // namespace spauth::testing
 

@@ -28,6 +28,7 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::OneSetWeight;
 
 std::unique_ptr<MethodEngine> MakeCachedEngine(MethodKind kind) {
   const auto& ctx = CoreTestContext::Get();
@@ -71,7 +72,8 @@ TEST(EngineStateTest, UpdateRotatesSnapshotWithoutTouchingTheCallerGraph) {
   const double old_w = ctx.graph.EdgeWeight(u, v).value();
   const std::shared_ptr<const EngineState> old_state = engine->CurrentState();
 
-  auto version = engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, old_w * 50);
+  auto version =
+      engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, old_w * 50));
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(version.value(), 1u);
   EXPECT_EQ(engine->current_epoch(), 2u);
@@ -104,7 +106,8 @@ TEST(EngineStateTest, DroppingTheLastHandleDrainsTheRetiredSnapshot) {
   const NodeId u = 0;
   const NodeId v = ctx.graph.Neighbors(0)[0].to;
   const double w = ctx.graph.EdgeWeight(u, v).value();
-  ASSERT_TRUE(engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, w * 1.25).ok());
+  ASSERT_TRUE(
+      engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, w * 1.25)).ok());
   EXPECT_EQ(engine->live_snapshots(), 2u);
   held.reset();
   EXPECT_EQ(engine->live_snapshots(), 1u);
@@ -126,7 +129,7 @@ TEST(EngineStateTest, RotationRetiresTheProofCacheWholesaleWithExactBooks) {
   const NodeId u = 0;
   const NodeId v = ctx.graph.Neighbors(0)[0].to;
   const double w = ctx.graph.EdgeWeight(u, v).value();
-  ASSERT_TRUE(engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, w * 2).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, w * 2)).ok());
 
   // No handles pin the old snapshot, so it drained at publish: its whole
   // cache was retired and its residents are accounted as cleared.
@@ -159,7 +162,7 @@ TEST(EngineStateTest, HeldBundleFromRetiredSnapshotStaysValidAndVerifiable) {
   const NodeId u = held.value()->path.nodes[0];
   const NodeId v = held.value()->path.nodes[1];
   const double w = ctx.graph.EdgeWeight(u, v).value();
-  ASSERT_TRUE(engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, w * 3).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, w * 3)).ok());
 
   // The shared_ptr keeps the retired snapshot's bundle alive and byte-
   // stable, and it still verifies: its certificate signs the old root,
@@ -197,7 +200,7 @@ TEST(EngineStateTest, RotationSharesStructureWithTheRetiredSnapshot) {
   const NodeId u = 0;
   const NodeId v = ctx.graph.Neighbors(0)[0].to;
   const double w = ctx.graph.EdgeWeight(u, v).value();
-  ASSERT_TRUE(engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, w * 2).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, w * 2)).ok());
   const std::shared_ptr<const EngineState> new_state = engine->CurrentState();
 
   // The new snapshot's graph is a structural sibling, not a deep copy: at
@@ -225,18 +228,16 @@ TEST(EngineStateTest, BatchedRotationMatchesSingleUpdateRotations) {
   auto singles = ctx.MakeMethodEngine(MethodKind::kDij);
   auto batched = ctx.MakeMethodEngine(MethodKind::kDij);
 
-  std::vector<EdgeWeightUpdate> updates;
+  std::vector<StructuralUpdate> updates;
   for (NodeId u : {NodeId{0}, NodeId{7}, NodeId{20}}) {
     const Edge& e = ctx.graph.Neighbors(u)[0];
-    updates.push_back({u, e.to, e.weight * 1.5});
+    updates.push_back(StructuralUpdate::SetWeight(u, e.to, e.weight * 1.5));
   }
 
-  for (const EdgeWeightUpdate& up : updates) {
-    ASSERT_TRUE(
-        singles->ApplyEdgeWeightUpdate(ctx.keys, up.u, up.v, up.new_weight)
-            .ok());
+  for (const StructuralUpdate& up : updates) {
+    ASSERT_TRUE(singles->ApplyUpdates(&ctx.keys, {&up, 1}).ok());
   }
-  auto version = batched->ApplyEdgeWeightUpdates(ctx.keys, updates);
+  auto version = batched->ApplyUpdates(&ctx.keys, updates);
   ASSERT_TRUE(version.ok());
 
   // Same final version from ONE rotation (== one clone, one signature).
@@ -269,7 +270,7 @@ TEST(EngineStateTest, EmptyBatchPublishesNothing) {
   const auto& ctx = CoreTestContext::Get();
   auto engine = ctx.MakeMethodEngine(MethodKind::kDij);
   const std::shared_ptr<const EngineState> before = engine->CurrentState();
-  auto version = engine->ApplyEdgeWeightUpdates(ctx.keys, {});
+  auto version = engine->ApplyUpdates(&ctx.keys, {});
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(version.value(), 0u);
   EXPECT_EQ(engine->CurrentState().get(), before.get());
@@ -321,17 +322,16 @@ TEST(EngineStateTest, PinnedReadersKeepVerifyingAcrossAliasedRotations) {
   // alternating singles and batches — so every rotation copy-on-writes
   // chunks the readers alias.
   for (size_t i = 1; i <= kRotations; ++i) {
+    const double step = static_cast<double>(i);
     if (i % 2 == 0) {
-      const EdgeWeightUpdate batch[] = {
-          {u, v, old_w * (1.0 + 0.1 * static_cast<double>(i))},
-          {u, v, old_w * (1.0 + 0.2 * static_cast<double>(i))}};
-      ASSERT_TRUE(engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+      const StructuralUpdate batch[] = {
+          StructuralUpdate::SetWeight(u, v, old_w * (1.0 + 0.1 * step)),
+          StructuralUpdate::SetWeight(u, v, old_w * (1.0 + 0.2 * step))};
+      ASSERT_TRUE(engine->ApplyUpdates(&ctx.keys, batch).ok());
     } else {
-      ASSERT_TRUE(engine
-                      ->ApplyEdgeWeightUpdate(
-                          ctx.keys, u, v,
-                          old_w * (1.0 + 0.1 * static_cast<double>(i)))
-                      .ok());
+      const double weight = old_w * (1.0 + 0.1 * step);
+      ASSERT_TRUE(
+          engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, weight)).ok());
     }
     std::this_thread::yield();
   }
@@ -365,7 +365,7 @@ TEST_P(NonDijUpdateTest, FailedUpdateLeavesSnapshotAndCacheUntouched) {
 
   const NodeId u = 0;
   const NodeId v = ctx.graph.Neighbors(0)[0].to;
-  auto result = engine->ApplyEdgeWeightUpdate(ctx.keys, u, v, 2.0);
+  auto result = engine->ApplyUpdates(&ctx.keys, OneSetWeight(u, v, 2.0));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 
@@ -389,10 +389,10 @@ TEST_P(NonDijUpdateTest, BatchedUpdateAlsoFailsPrecondition) {
   const auto& ctx = CoreTestContext::Get();
   auto engine = MakeCachedEngine(GetParam());
   const std::shared_ptr<const EngineState> before = engine->CurrentState();
-  const EdgeWeightUpdate updates[] = {
-      {0, ctx.graph.Neighbors(0)[0].to, 2.0},
-      {1, ctx.graph.Neighbors(1)[0].to, 3.0}};
-  auto result = engine->ApplyEdgeWeightUpdates(ctx.keys, updates);
+  const StructuralUpdate updates[] = {
+      StructuralUpdate::SetWeight(0, ctx.graph.Neighbors(0)[0].to, 2.0),
+      StructuralUpdate::SetWeight(1, ctx.graph.Neighbors(1)[0].to, 3.0)};
+  auto result = engine->ApplyUpdates(&ctx.keys, updates);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(engine->CurrentState().get(), before.get());
@@ -400,7 +400,7 @@ TEST_P(NonDijUpdateTest, BatchedUpdateAlsoFailsPrecondition) {
   EXPECT_EQ(engine->rotation_clone_bytes(), 0u);
 
   // An empty batch is a no-op for every method, DIJ or not.
-  auto empty = engine->ApplyEdgeWeightUpdates(ctx.keys, {});
+  auto empty = engine->ApplyUpdates(&ctx.keys, {});
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty.value(), 0u);
   EXPECT_EQ(engine->CurrentState().get(), before.get());

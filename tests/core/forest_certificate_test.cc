@@ -336,11 +336,9 @@ TEST_P(ForestFleetTest, ForestTamperMatrixNeverFalselyAccepts) {
     return;
   }
   const Edge e = ctx.graph.Neighbors(0).front();
-  const EdgeWeightUpdate update{0, e.to, e.weight * 1.25};
-  ASSERT_TRUE(engine
-                  ->ApplyEdgeWeightUpdatesAllShards(
-                      ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1))
-                  .ok());
+  const StructuralUpdate update =
+      StructuralUpdate::SetWeight(0, e.to, e.weight * 1.25);
+  ASSERT_TRUE(engine->ApplyUpdatesAllShards(ctx.keys, {&update, 1}).ok());
   const auto fleet2 = engine->forest();
   ASSERT_EQ(fleet2->certificate.params.fleet_epoch, 2u);
   auto answer2 = engine->Answer(q);
@@ -409,21 +407,17 @@ TEST_P(ForestFleetTest, FleetRotationSignsExactlyOnce) {
   // and never reach the signature seam.
   if (GetParam() != MethodKind::kDij) {
     auto fleet = MakeForestFleet(GetParam(), 2);
-    const EdgeWeightUpdate update{0, 1, 1.0};
-    EXPECT_FALSE(fleet
-                     ->ApplyEdgeWeightUpdatesAllShards(
-                         ctx.keys,
-                         std::span<const EdgeWeightUpdate>(&update, 1))
-                     .ok());
+    const StructuralUpdate update = StructuralUpdate::SetWeight(0, 1, 1.0);
+    EXPECT_FALSE(fleet->ApplyUpdatesAllShards(ctx.keys, {&update, 1}).ok());
     return;
   }
   auto engine = MakeForestFleet(GetParam(), 4);
 
   const Edge e = ctx.graph.Neighbors(1).front();
-  const EdgeWeightUpdate update{1, e.to, e.weight * 1.5};
+  const StructuralUpdate update =
+      StructuralUpdate::SetWeight(1, e.to, e.weight * 1.5);
   const uint64_t signs_before = RsaSignOps();
-  auto version = engine->ApplyEdgeWeightUpdatesAllShards(
-      ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1));
+  auto version = engine->ApplyUpdatesAllShards(ctx.keys, {&update, 1});
   ASSERT_TRUE(version.ok()) << version.status().ToString();
   // Four shards rotated; the fleet signed ONCE (the forest root).
   EXPECT_EQ(RsaSignOps() - signs_before, 1u);
@@ -435,10 +429,8 @@ TEST_P(ForestFleetTest, FleetRotationSignsExactlyOnce) {
       ctx.graph, CoreTestContext::DefaultOptions(GetParam()), 4, ctx.keys);
   ASSERT_TRUE(legacy.ok());
   const uint64_t legacy_before = RsaSignOps();
-  ASSERT_TRUE(legacy.value()
-                  ->ApplyEdgeWeightUpdatesAllShards(
-                      ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1))
-                  .ok());
+  ASSERT_TRUE(
+      legacy.value()->ApplyUpdatesAllShards(ctx.keys, {&update, 1}).ok());
   EXPECT_EQ(RsaSignOps() - legacy_before, 4u);
 }
 
@@ -450,7 +442,8 @@ TEST_P(ForestFleetTest, PartialRotationFailureRollsTheFleetForward) {
   auto engine = MakeForestFleet(GetParam(), 4);
 
   const Edge e = ctx.graph.Neighbors(2).front();
-  const EdgeWeightUpdate update{2, e.to, e.weight * 2.0};
+  const StructuralUpdate update =
+      StructuralUpdate::SetWeight(2, e.to, e.weight * 2.0);
   // Fail the SECOND group's rotation publish; groups 0, 2, 3 rotate fine.
   FailPointSpec spec;
   spec.mode = FailPointMode::kOneShot;
@@ -459,8 +452,7 @@ TEST_P(ForestFleetTest, PartialRotationFailureRollsTheFleetForward) {
   uint32_t epoch_before = engine->fleet_epoch();
   {
     ScopedFailPoint fp("engine/publish", spec);
-    auto result = engine->ApplyEdgeWeightUpdatesAllShards(
-        ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1));
+    auto result = engine->ApplyUpdatesAllShards(ctx.keys, {&update, 1});
     // The torn rotation surfaces as the first error...
     ASSERT_FALSE(result.ok());
   }
@@ -568,11 +560,9 @@ TEST(ForestFleetEdgeTest, ReconcileFleetEpochRollsLaggardsForward) {
   // Advance only `b` — two rotations ahead of its siblings.
   const Edge e = ctx.graph.Neighbors(3).front();
   for (double scale : {1.5, 2.0}) {
-    const EdgeWeightUpdate update{3, e.to, e.weight * scale};
-    ASSERT_TRUE(b.value()
-                    ->ApplyEdgeWeightUpdates(
-                        ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1))
-                    .ok());
+    const StructuralUpdate update =
+        StructuralUpdate::SetWeight(3, e.to, e.weight * scale);
+    ASSERT_TRUE(b.value()->ApplyUpdates(&ctx.keys, {&update, 1}).ok());
   }
   const uint32_t target = b.value()->certificate().params.version;
   ASSERT_GT(target, a.value()->certificate().params.version);

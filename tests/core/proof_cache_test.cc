@@ -16,6 +16,7 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::OneSetWeight;
 
 std::unique_ptr<MethodEngine> MakeCachedEngine(MethodKind kind) {
   const auto& ctx = CoreTestContext::Get();
@@ -183,8 +184,8 @@ TEST(ProofCacheZeroCopyTest, HeldBundleSurvivesOwnerInvalidation) {
   const Edge* edge = g.FindEdge(u, v);
   ASSERT_NE(edge, nullptr);
   ASSERT_TRUE(engine.value()
-                  ->ApplyEdgeWeightUpdate(keys.value(), u, v,
-                                          edge->weight * 1.5)
+                  ->ApplyUpdates(&keys.value(),
+                                 OneSetWeight(u, v, edge->weight * 1.5))
                   .ok());
 
   // The held bundle is untouched by the invalidation...
@@ -259,7 +260,8 @@ TEST(ProofCacheUpdateTest, OwnerUpdateInvalidatesCachedBundles) {
   ASSERT_NE(edge, nullptr);
   const double old_w = edge->weight;
   ASSERT_TRUE(engine.value()
-                  ->ApplyEdgeWeightUpdate(keys.value(), u, v, old_w * 1.5)
+                  ->ApplyUpdates(&keys.value(),
+                                 OneSetWeight(u, v, old_w * 1.5))
                   .ok());
   EXPECT_DOUBLE_EQ(g.EdgeWeight(u, v).value(), old_w);
 
@@ -284,7 +286,7 @@ TEST(ProofCacheUpdateTest, NonDijMethodsRefuseIncrementalUpdates) {
   for (MethodKind method :
        {MethodKind::kFull, MethodKind::kLdm, MethodKind::kHyp}) {
     auto engine = ctx.MakeMethodEngine(method);
-    auto s = engine->ApplyEdgeWeightUpdate(ctx.keys, 0, 1, 2.0);
+    auto s = engine->ApplyUpdates(&ctx.keys, OneSetWeight(0, 1, 2.0));
     EXPECT_EQ(s.status().code(), StatusCode::kFailedPrecondition)
         << ToString(method);
   }

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,14 +86,15 @@ std::vector<UndirectedEdge> CollectEdges(const Graph& g) {
 
 /// Deterministic batch i of 1–3 reweighted edges, same for every world
 /// built from the shared fixture graph.
-std::vector<EdgeWeightUpdate> MakeBatch(const std::vector<UndirectedEdge>& edges,
-                                        size_t i) {
+std::vector<StructuralUpdate> MakeBatch(
+    const std::vector<UndirectedEdge>& edges, size_t i) {
   Rng rng(0xd0c0 + i * 7919);
-  std::vector<EdgeWeightUpdate> batch;
+  std::vector<StructuralUpdate> batch;
   const size_t count = 1 + rng.NextBounded(3);
   for (size_t j = 0; j < count; ++j) {
     const UndirectedEdge& e = edges[rng.NextBounded(edges.size())];
-    batch.push_back({e.u, e.v, e.weight * rng.NextDoubleIn(0.5, 2.0)});
+    batch.push_back(StructuralUpdate::SetWeight(
+        e.u, e.v, e.weight * rng.NextDoubleIn(0.5, 2.0)));
   }
   return batch;
 }
@@ -185,20 +187,20 @@ TEST(RecoveryCampaignTest, EveryKillPointRecoversTheDurablePrefixByteForByte) {
     // Three healthy batches reach both worlds.
     for (size_t i = 0; i < 3; ++i) {
       const auto batch = MakeBatch(edges, i);
-      ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
-      ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+      ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch).ok());
+      ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch).ok());
     }
 
     // The killed batch.
     const auto doomed = MakeBatch(edges, 3);
     FailPointRegistry::Global().ArmOneShot(kill.point);
-    auto failed = w.engine->ApplyEdgeWeightUpdates(ctx.keys, doomed);
+    auto failed = w.engine->ApplyUpdates(&ctx.keys, doomed);
     FailPointRegistry::Global().Disarm(kill.point);
     ASSERT_FALSE(failed.ok()) << kill.point << " did not fire";
     EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
     if (kill.batch_durable) {
       // The twin is the durable truth: it applies what reached the disk.
-      ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, doomed).ok());
+      ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, doomed).ok());
     }
 
     auto recovered = CrashAndRecover(w);
@@ -226,8 +228,8 @@ TEST(RecoveryCampaignTest, TornCheckpointLeavesOlderSnapshotPlusReplay) {
   ASSERT_NE(twin, nullptr);
   for (size_t i = 0; i < 3; ++i) {
     const auto batch = MakeBatch(edges, i);
-    ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
-    ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+    ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch).ok());
+    ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch).ok());
   }
 
   // The checkpoint dies mid-write: a torn temp file, no rename, the store
@@ -284,8 +286,8 @@ TEST(RecoveryCampaignTest, CheckpointTruncatesTheWalAndRecoversByteIdentical) {
   ASSERT_NE(twin, nullptr);
   for (size_t i = 0; i < 3; ++i) {
     const auto batch = MakeBatch(edges, i);
-    ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
-    ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+    ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch).ok());
+    ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch).ok());
   }
   ASSERT_EQ(Wal::Read(w.wal_path).value().records.size(), 3u);
 
@@ -298,8 +300,8 @@ TEST(RecoveryCampaignTest, CheckpointTruncatesTheWalAndRecoversByteIdentical) {
   // Post-checkpoint updates land in the fresh log and replay on top of
   // the new snapshot.
   const auto tail = MakeBatch(edges, 3);
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, tail).ok());
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, tail).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, tail).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, tail).ok());
   const uint32_t checkpoint_version = twin->certificate().params.version -
                                       static_cast<uint32_t>(tail.size());
 
@@ -324,8 +326,8 @@ TEST(RecoveryCampaignTest, KillInsideTheTruncateStillRecoversByteIdentical) {
   ASSERT_NE(twin, nullptr);
   for (size_t i = 0; i < 3; ++i) {
     const auto batch = MakeBatch(edges, i);
-    ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
-    ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+    ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch).ok());
+    ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch).ok());
   }
 
   // The crash between publish and truncate: the snapshot is durable, the
@@ -342,8 +344,8 @@ TEST(RecoveryCampaignTest, KillInsideTheTruncateStillRecoversByteIdentical) {
 
   // One more batch lands in the (stale, never truncated) log.
   const auto tail = MakeBatch(edges, 3);
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, tail).ok());
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, tail).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, tail).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, tail).ok());
 
   // Recovery: newest snapshot + skip the absorbed prefix + replay the
   // tail — byte-identical to the twin, as if the truncate had finished.
@@ -367,7 +369,7 @@ TEST(RecoveryCampaignTest, GcKeepsLastNAndNeverTheNewestVerifiedSnapshot) {
   ASSERT_NE(w.engine, nullptr);
   for (size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(
-        w.engine->ApplyEdgeWeightUpdates(ctx.keys, MakeBatch(edges, i)).ok());
+        w.engine->ApplyUpdates(&ctx.keys, MakeBatch(edges, i)).ok());
     ASSERT_TRUE(w.store->Write(*w.engine).ok());
   }
   std::vector<uint32_t> versions = w.store->ListVersions();
@@ -424,7 +426,7 @@ TEST(RecoveryCampaignTest, GcRacingFallbackLoadAlwaysLandsOnVerifiedState) {
   ASSERT_NE(w.engine, nullptr);
   for (size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(
-        w.engine->ApplyEdgeWeightUpdates(ctx.keys, MakeBatch(edges, i)).ok());
+        w.engine->ApplyUpdates(&ctx.keys, MakeBatch(edges, i)).ok());
     ASSERT_TRUE(w.store->Write(*w.engine).ok());
   }
   const std::vector<uint32_t> versions = w.store->ListVersions();
@@ -484,8 +486,8 @@ TEST(RecoveryCampaignTest, FlippedAndTruncatedCheckpointsFallBackNotLie) {
   ASSERT_NE(twin, nullptr);
   for (size_t i = 0; i < 2; ++i) {
     const auto batch = MakeBatch(edges, i);
-    ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
-    ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+    ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch).ok());
+    ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch).ok());
   }
   ASSERT_TRUE(w.store->Write(*w.engine).ok());
   const auto versions = w.store->ListVersions();
@@ -586,7 +588,7 @@ TEST(RecoveryCampaignTest, StaleCertificateRollbackIsRefusedAsDataLoss) {
   World w = MakeWorld("stale_rollback");
   ASSERT_NE(w.engine, nullptr);
   const auto batch = MakeBatch(edges, 0);
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch).ok());
   ASSERT_TRUE(w.store->Write(*w.engine).ok());
   const auto versions = w.store->ListVersions();
   ASSERT_EQ(versions.size(), 2u);
@@ -613,9 +615,9 @@ TEST(RecoveryCampaignTest, WalGapIsDataLossWalFlipKeepsTheValidPrefix) {
   ASSERT_NE(twin, nullptr);
   const auto first = MakeBatch(edges, 0);
   const auto second = MakeBatch(edges, 1);
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, first).ok());
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, second).ok());
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, first).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, first).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, second).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, first).ok());
   const std::vector<uint8_t> log = ReadFileBytes(w.wal_path);
 
   // Flip a byte inside the second record: replay keeps the valid prefix
@@ -684,7 +686,7 @@ class ReplicaHealTest : public ::testing::Test {
     const auto& ctx = CoreTestContext::Get();
     const auto batch = MakeBatch(edges_, 0);
     FailPointRegistry::Global().ArmOneShot("engine/publish", /*after=*/1);
-    auto torn = fleet_->ApplyEdgeWeightUpdates(0, ctx.keys, batch);
+    auto torn = fleet_->ApplyUpdates(0, ctx.keys, batch);
     FailPointRegistry::Global().Disarm("engine/publish");
     ASSERT_FALSE(torn.ok()) << "the publish fault did not fire";
     // One rotation signs version + batch-size, so the laggard trails by
@@ -741,7 +743,7 @@ TEST_F(ReplicaHealTest, NextRotationAutoHealsBeforeApplying) {
   // The very next rotation first converges the group, then applies — both
   // replicas land on one version signing one world.
   const auto batch = MakeBatch(edges_, 1);
-  auto applied = fleet_->ApplyEdgeWeightUpdates(0, ctx.keys, batch);
+  auto applied = fleet_->ApplyUpdates(0, ctx.keys, batch);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(Version(0), applied.value());
   EXPECT_EQ(Version(1), applied.value());
@@ -771,7 +773,7 @@ TEST_F(ReplicaHealTest, ResyncFaultAbortsHealAndRotationRetryably) {
     // The rotation aborts on the failed pre-heal instead of compounding
     // the divergence.
     auto applied =
-        fleet_->ApplyEdgeWeightUpdates(0, ctx.keys, MakeBatch(edges_, 1));
+        fleet_->ApplyUpdates(0, ctx.keys, MakeBatch(edges_, 1));
     ASSERT_FALSE(applied.ok());
     EXPECT_EQ(applied.status().code(), StatusCode::kUnavailable);
     EXPECT_EQ(Version(0), ahead);
@@ -810,10 +812,10 @@ TEST(RecoveryCampaignTest, MidFleetKillRecoversMixedEpochsAndReconciles) {
   World worlds[3] = {MakeWorld("fleet_w0"), MakeWorld("fleet_w1"),
                      MakeWorld("fleet_w2")};
   for (World& w : worlds) {
-    ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, batch0).ok());
+    ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, batch0).ok());
   }
-  ASSERT_TRUE(worlds[0].engine->ApplyEdgeWeightUpdates(ctx.keys, batch1).ok());
-  ASSERT_TRUE(worlds[1].engine->ApplyEdgeWeightUpdates(ctx.keys, batch1).ok());
+  ASSERT_TRUE(worlds[0].engine->ApplyUpdates(&ctx.keys, batch1).ok());
+  ASSERT_TRUE(worlds[1].engine->ApplyUpdates(&ctx.keys, batch1).ok());
 
   // Crash the whole fleet; recover every shard from its own disk.
   std::vector<std::unique_ptr<MethodEngine>> recovered;
@@ -843,8 +845,8 @@ TEST(RecoveryCampaignTest, MidFleetKillRecoversMixedEpochsAndReconciles) {
   // that applied both batches serves — from every shard.
   auto twin = ctx.MakeMethodEngine(MethodKind::kDij);
   ASSERT_NE(twin, nullptr);
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch0).ok());
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, batch1).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch0).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch1).ok());
   for (MethodEngine* engine : fleet) {
     ExpectByteTransparent(*engine, *twin);
   }
@@ -988,38 +990,136 @@ TEST(WalTypedRecordTest, MidLogDamageIsDataLossOnlyTheTailMayTear) {
   EXPECT_EQ(truncated.value().records.size(), 2u);
 }
 
-TEST(WalTypedRecordTest, StructuralRecordsRoundTripExactly) {
+TEST(WalTypedRecordTest, EveryOpKindRoundTripsExactly) {
   const std::string dir = FreshDir("wal_structural_roundtrip");
   const std::string path = dir + "/updates.wal";
-  WalRecord structural;
-  structural.kind = WalRecordKind::kStructural;
-  structural.base_version = 5;
-  structural.structural = {
+  WalRecord record;
+  record.base_version = 5;
+  record.updates = {
       StructuralUpdate::AddEdge(3, 9, 42.5),
       StructuralUpdate::RemoveEdge(1, 2),
       StructuralUpdate::AddVertex(-12.25, 900.75),
+      StructuralUpdate::SetWeight(4, 7, 0.125),
   };
+  // One record kind for every batch: kind byte, base version, op count,
+  // then 33 bytes per op whatever its kind.
+  ByteWriter payload;
+  record.Serialize(&payload);
+  ASSERT_EQ(payload.view().size(), 9u + 33u * record.updates.size());
+  EXPECT_EQ(payload.view()[0], static_cast<uint8_t>(WalRecordKind::kUpdates));
   {
     auto wal = Wal::Open(path);
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE(wal.value().Append(structural).ok());
+    ASSERT_TRUE(wal.value().Append(record).ok());
   }
   auto replay = Wal::Read(path);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   ASSERT_EQ(replay.value().records.size(), 1u);
   const WalRecord& read = replay.value().records[0];
-  EXPECT_EQ(read.kind, WalRecordKind::kStructural);
   EXPECT_EQ(read.base_version, 5u);
-  EXPECT_EQ(read.Count(), 3u);
-  ASSERT_EQ(read.structural.size(), 3u);
-  EXPECT_EQ(read.structural[0].kind, StructuralOpKind::kAddEdge);
-  EXPECT_EQ(read.structural[0].u, 3u);
-  EXPECT_EQ(read.structural[0].v, 9u);
-  EXPECT_DOUBLE_EQ(read.structural[0].weight, 42.5);
-  EXPECT_EQ(read.structural[1].kind, StructuralOpKind::kRemoveEdge);
-  EXPECT_EQ(read.structural[2].kind, StructuralOpKind::kAddVertex);
-  EXPECT_DOUBLE_EQ(read.structural[2].x, -12.25);
-  EXPECT_DOUBLE_EQ(read.structural[2].y, 900.75);
+  ASSERT_EQ(read.updates.size(), 4u);
+  EXPECT_EQ(read.updates[0].kind, StructuralOpKind::kAddEdge);
+  EXPECT_EQ(read.updates[0].u, 3u);
+  EXPECT_EQ(read.updates[0].v, 9u);
+  EXPECT_DOUBLE_EQ(read.updates[0].weight, 42.5);
+  EXPECT_EQ(read.updates[1].kind, StructuralOpKind::kRemoveEdge);
+  EXPECT_EQ(read.updates[2].kind, StructuralOpKind::kAddVertex);
+  EXPECT_DOUBLE_EQ(read.updates[2].x, -12.25);
+  EXPECT_DOUBLE_EQ(read.updates[2].y, 900.75);
+  EXPECT_EQ(read.updates[3].kind, StructuralOpKind::kSetWeight);
+  EXPECT_EQ(read.updates[3].u, 4u);
+  EXPECT_EQ(read.updates[3].v, 7u);
+  EXPECT_DOUBLE_EQ(read.updates[3].weight, 0.125);
+}
+
+/// A re-weight record in the layout written before every update became
+/// one op kind: kind byte 1, base version, count, then (u32 u, u32 v,
+/// f64 weight) per update — 16 bytes per op, no op kind byte.
+std::vector<uint8_t> LegacyWeightRecord(
+    uint32_t base_version, std::span<const StructuralUpdate> reweights) {
+  ByteWriter out;
+  out.WriteU8(1);
+  out.WriteU32(base_version);
+  out.WriteU32(static_cast<uint32_t>(reweights.size()));
+  for (const StructuralUpdate& op : reweights) {
+    out.WriteU32(op.u);
+    out.WriteU32(op.v);
+    out.WriteF64(op.weight);
+  }
+  return {out.view().begin(), out.view().end()};
+}
+
+TEST(WalTypedRecordTest, LegacyWeightRecordsReplayAsSetWeightOps) {
+  const auto& ctx = CoreTestContext::Get();
+  const std::vector<UndirectedEdge> edges = CollectEdges(ctx.graph);
+  World w = MakeWorld("wal_legacy_weights");
+  ASSERT_NE(w.engine, nullptr);
+  auto twin = ctx.MakeMethodEngine(MethodKind::kDij);
+  ASSERT_NE(twin, nullptr);
+
+  // A log left on disk by an older build: two kind-1 records, then a
+  // kind-2 record the current writer appended behind them.
+  const auto batch0 = MakeBatch(edges, 50);
+  const auto batch1 = MakeBatch(edges, 51);
+  const auto grown =
+      MakeStructuralBatch(static_cast<NodeId>(ctx.graph.num_nodes()), 52);
+  std::vector<uint8_t> log;
+  AppendFramedRecord(LegacyWeightRecord(0, batch0), &log);
+  AppendFramedRecord(
+      LegacyWeightRecord(static_cast<uint32_t>(batch0.size()), batch1), &log);
+  WalRecord current;
+  current.base_version = static_cast<uint32_t>(batch0.size() + batch1.size());
+  current.updates = grown;
+  ByteWriter current_payload;
+  current.Serialize(&current_payload);
+  AppendFramedRecord(current_payload.view(), &log);
+  w.engine.reset();
+  w.wal.reset();
+  WriteFileBytes(w.wal_path, log);
+
+  auto read = Wal::Read(w.wal_path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().records.size(), 3u);
+  ASSERT_EQ(read.value().records[0].updates.size(), batch0.size());
+  for (size_t i = 0; i < batch0.size(); ++i) {
+    const StructuralUpdate& op = read.value().records[0].updates[i];
+    EXPECT_EQ(op.kind, StructuralOpKind::kSetWeight);
+    EXPECT_EQ(op.u, batch0[i].u);
+    EXPECT_EQ(op.v, batch0[i].v);
+    EXPECT_EQ(op.weight, batch0[i].weight);
+  }
+
+  // Replay lands exactly where SetWeight ops through the live path land.
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch0).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, batch1).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, grown).ok());
+  auto recovered = RecoverDijEngine(
+      *w.store, w.wal_path, CoreTestContext::DefaultOptions(MethodKind::kDij),
+      ctx.keys);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value().wal_records_replayed, 3u);
+  EXPECT_EQ(recovered.value().recovered_version,
+            twin->certificate().params.version);
+  ExpectByteTransparent(*recovered.value().engine, *twin);
+}
+
+TEST(WalTypedRecordTest, UnknownOpKindIsDataLoss) {
+  const std::string dir = FreshDir("wal_unknown_op_kind");
+  const std::string path = dir + "/updates.wal";
+  WalRecord record;
+  record.updates = {StructuralUpdate::SetWeight(1, 2, 3.0)};
+  ByteWriter payload;
+  record.Serialize(&payload);
+  std::vector<uint8_t> bytes(payload.view().begin(), payload.view().end());
+  ASSERT_EQ(bytes[9], static_cast<uint8_t>(StructuralOpKind::kSetWeight));
+  bytes[9] = 5;  // the first op kind after kSetWeight: unknown to this build
+  std::vector<uint8_t> log;
+  AppendFramedRecord(bytes, &log);
+  WriteFileBytes(path, log);
+  auto refused = Wal::Read(path);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss)
+      << refused.status().ToString();
 }
 
 TEST(WalTypedRecordTest, MixedStructuralLogReplaysByteIdentically) {
@@ -1030,19 +1130,19 @@ TEST(WalTypedRecordTest, MixedStructuralLogReplaysByteIdentically) {
   auto twin = ctx.MakeMethodEngine(MethodKind::kDij);
   ASSERT_NE(twin, nullptr);
 
-  // weight | structural | weight — both record kinds interleave in one
-  // log, and the version arithmetic (base_version + Count) must stay
-  // consistent across the kind switch.
+  // weight | structural | weight — batches of different op kinds
+  // interleave in one log, and the version arithmetic (base_version +
+  // ops) must stay consistent across them.
   const auto weights0 = MakeBatch(edges, 20);
   const auto structural =
       MakeStructuralBatch(static_cast<NodeId>(ctx.graph.num_nodes()), 20);
   const auto weights1 = MakeBatch(edges, 21);
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, weights0).ok());
-  ASSERT_TRUE(w.engine->ApplyStructuralUpdates(ctx.keys, structural).ok());
-  ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, weights1).ok());
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, weights0).ok());
-  ASSERT_TRUE(twin->ApplyStructuralUpdates(ctx.keys, structural).ok());
-  ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, weights1).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, weights0).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, structural).ok());
+  ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, weights1).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, weights0).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, structural).ok());
+  ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, weights1).ok());
 
   auto recovered = CrashAndRecover(w);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -1082,18 +1182,18 @@ TEST(WalTypedRecordTest, StructuralKillPointsRecoverTheDurablePrefix) {
 
     // A healthy weight batch, then the doomed STRUCTURAL batch.
     const auto healthy = MakeBatch(edges, 30);
-    ASSERT_TRUE(w.engine->ApplyEdgeWeightUpdates(ctx.keys, healthy).ok());
-    ASSERT_TRUE(twin->ApplyEdgeWeightUpdates(ctx.keys, healthy).ok());
+    ASSERT_TRUE(w.engine->ApplyUpdates(&ctx.keys, healthy).ok());
+    ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, healthy).ok());
 
     const auto doomed =
         MakeStructuralBatch(static_cast<NodeId>(ctx.graph.num_nodes()), 31);
     FailPointRegistry::Global().ArmOneShot(kill.point);
-    auto failed = w.engine->ApplyStructuralUpdates(ctx.keys, doomed);
+    auto failed = w.engine->ApplyUpdates(&ctx.keys, doomed);
     FailPointRegistry::Global().Disarm(kill.point);
     ASSERT_FALSE(failed.ok()) << kill.point << " did not fire";
     EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
     if (kill.batch_durable) {
-      ASSERT_TRUE(twin->ApplyStructuralUpdates(ctx.keys, doomed).ok());
+      ASSERT_TRUE(twin->ApplyUpdates(&ctx.keys, doomed).ok());
     }
 
     auto recovered = CrashAndRecover(w);

@@ -21,6 +21,7 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::OneSetWeight;
 
 std::unique_ptr<ShardedEngine> MakeSharded(MethodKind kind, size_t shards,
                                            bool cache = false) {
@@ -394,7 +395,7 @@ TEST(ShardedEngineUpdateTest, SingleShardUpdateLeavesSiblingsUntouched) {
   const NodeId u = 0;
   const NodeId v = ctx.graph.Neighbors(0)[0].to;
   const double w = ctx.graph.EdgeWeight(u, v).value();
-  auto version = sharded->ApplyEdgeWeightUpdate(1, ctx.keys, u, v, w * 2);
+  auto version = sharded->ApplyUpdates(1, ctx.keys, OneSetWeight(u, v, w * 2));
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(version.value(), 1u);
 
@@ -412,7 +413,7 @@ TEST(ShardedEngineUpdateTest, SingleShardUpdateLeavesSiblingsUntouched) {
     EXPECT_GT(stats.shards[2].cache.entries, 0u);
   }
   // Out-of-range shard: a clean error, no crash.
-  EXPECT_FALSE(sharded->ApplyEdgeWeightUpdate(99, ctx.keys, u, v, w).ok());
+  EXPECT_FALSE(sharded->ApplyUpdates(99, ctx.keys, OneSetWeight(u, v, w)).ok());
 }
 
 TEST(ShardedEngineUpdateTest, AllShardsUpdateKeepsReplicasByteTransparent) {
@@ -422,8 +423,8 @@ TEST(ShardedEngineUpdateTest, AllShardsUpdateKeepsReplicasByteTransparent) {
   auto neighbors = ctx.graph.Neighbors(u);
   ASSERT_FALSE(neighbors.empty());
   const NodeId v = neighbors[0].to;
-  auto version = sharded->ApplyEdgeWeightUpdateAllShards(
-      ctx.keys, u, v, neighbors[0].weight * 3);
+  auto version = sharded->ApplyUpdatesAllShards(
+      ctx.keys, OneSetWeight(u, v, neighbors[0].weight * 3));
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(version.value(), 1u);
 
@@ -433,8 +434,8 @@ TEST(ShardedEngineUpdateTest, AllShardsUpdateKeepsReplicasByteTransparent) {
   auto direct = MakeEngine(ctx.graph, options, ctx.keys);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(direct.value()
-                  ->ApplyEdgeWeightUpdate(ctx.keys, u, v,
-                                          neighbors[0].weight * 3)
+                  ->ApplyUpdates(&ctx.keys,
+                                 OneSetWeight(u, v, neighbors[0].weight * 3))
                   .ok());
   Client client(ctx.keys.public_key());
   client.TrackShardVersions(sharded->num_shards());

@@ -10,6 +10,7 @@
 // its leaf at the end of the certified order precisely so existing leaf
 // indices never move. Ordering affects proof sizes only, never soundness.
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -137,11 +138,13 @@ TEST(GraphStructuralTest, SplicesCopyOnWriteAwayFromSnapshots) {
 }
 
 // ---------------------------------------------------------------------------
-// The differential campaign: random structural + re-weight sequences,
-// checked against a from-scratch rebuild at EVERY step. Steps are checked
-// in order, so the first failing (seed, step) pair reported by the scoped
-// trace is already the minimal reproducer — rerun with that seed and the
-// campaign shrinks itself to the earliest divergent op.
+// The differential campaign: random sequences over every op kind, mixed
+// batches included, checked against a from-scratch rebuild and against
+// the same ops cut into re-weight and shape-change runs at EVERY step.
+// Steps are checked in order, so the first failing (seed, step) pair
+// reported by the scoped trace is already the minimal reproducer — rerun
+// with that seed and the campaign shrinks itself to the earliest
+// divergent op.
 // ---------------------------------------------------------------------------
 
 struct CampaignWorld {
@@ -222,64 +225,100 @@ void ExpectWorldMatchesRebuild(const CampaignWorld& w) {
   }
 }
 
-TEST(StructuralDifferentialCampaignTest, IncrementalMatchesRebuildEveryStep) {
+// Applies `ops` to `w` as ONE rotation and to `twin` as maximal runs of
+// re-weights and of shape changes, one rotation per run. Signing is
+// deterministic over the final state and version, so both must land on the
+// same certificate bytes however the stream was cut into batches.
+void ApplyWholeAndInRuns(std::span<const StructuralUpdate> ops,
+                         CampaignWorld* w, CampaignWorld* twin) {
   const auto& keys = CoreTestContext::Get().keys;
+  ASSERT_TRUE(ApplyUpdates(&w->g, &w->ads, &keys, ops).ok());
+  const auto is_reweight = [](const StructuralUpdate& op) {
+    return op.kind == StructuralOpKind::kSetWeight;
+  };
+  for (size_t start = 0; start < ops.size();) {
+    size_t end = start + 1;
+    while (end < ops.size() &&
+           is_reweight(ops[end]) == is_reweight(ops[start])) {
+      ++end;
+    }
+    ASSERT_TRUE(ApplyUpdates(&twin->g, &twin->ads, &keys,
+                             ops.subspan(start, end - start))
+                    .ok());
+    start = end;
+  }
+  for (CampaignWorld* world : {w, twin}) {
+    world->version += static_cast<uint32_t>(ops.size());
+    for (const StructuralUpdate& op : ops) {
+      if (op.kind == StructuralOpKind::kAddVertex) {
+        world->order.push_back(static_cast<NodeId>(world->order.size()));
+      }
+    }
+  }
+  ASSERT_EQ(w->ads.network.root(), twin->ads.network.root());
+  ASSERT_EQ(CertificateBytes(w->ads.certificate),
+            CertificateBytes(twin->ads.certificate));
+}
+
+TEST(StructuralDifferentialCampaignTest, IncrementalMatchesRebuildEveryStep) {
   for (uint64_t seed : {11u, 47u, 203u}) {
     SCOPED_TRACE("campaign seed " + std::to_string(seed));
     auto world = MakeCampaignWorld(seed);
+    auto twin_world = MakeCampaignWorld(seed);
     ASSERT_TRUE(world.ok()) << world.status().ToString();
+    ASSERT_TRUE(twin_world.ok()) << twin_world.status().ToString();
     CampaignWorld& w = world.value();
     Rng rng(seed * 7919);
 
     for (int step = 0; step < 24; ++step) {
       SCOPED_TRACE("step " + std::to_string(step));
-      const uint64_t kind = rng.NextBounded(4);
+      std::vector<StructuralUpdate> batch;
+      NodeId u, v;
+      const uint64_t kind = rng.NextBounded(5);
       if (kind == 0) {
-        // Re-weight through the weight pipeline (the two pipelines share
-        // SealCertificate, so interleaving them must stay coherent).
-        NodeId u, v;
         if (!PickEdge(w.g, rng, &u, &v)) {
           continue;
         }
-        const EdgeWeightUpdate reweight[] = {
-            {u, v, rng.NextDoubleIn(1.0, 900.0)}};
-        ASSERT_TRUE(
-            ApplyEdgeWeightUpdates(&w.g, &w.ads, keys, reweight).ok());
-        w.version += 1;
+        batch.push_back(StructuralUpdate::SetWeight(
+            u, v, rng.NextDoubleIn(1.0, 900.0)));
       } else if (kind == 1) {
-        NodeId u, v;
         if (!PickAbsentPair(w.g, rng, &u, &v)) {
           continue;
         }
-        const StructuralUpdate op =
-            StructuralUpdate::AddEdge(u, v, rng.NextDoubleIn(1.0, 900.0));
-        ASSERT_TRUE(ApplyStructuralUpdate(&w.g, &w.ads, keys, op).ok());
-        w.version += 1;
+        batch.push_back(
+            StructuralUpdate::AddEdge(u, v, rng.NextDoubleIn(1.0, 900.0)));
       } else if (kind == 2) {
-        NodeId u, v;
         if (!PickEdge(w.g, rng, &u, &v)) {
           continue;
         }
-        ASSERT_TRUE(ApplyStructuralUpdate(&w.g, &w.ads, keys,
-                                          StructuralUpdate::RemoveEdge(u, v))
-                        .ok());
-        w.version += 1;
+        batch.push_back(StructuralUpdate::RemoveEdge(u, v));
       } else {
         // Add a vertex and wire it in with one batch: the new id is the
-        // current node count, the tracked order grows at the end.
+        // current node count, the tracked order grows at the end. Kind 4
+        // mixes every op kind into the batch: re-weight an old edge, add
+        // and wire the vertex, re-weight its new edge, drop an old edge.
         const NodeId id = static_cast<NodeId>(w.g.num_nodes());
         const NodeId anchor =
             static_cast<NodeId>(rng.NextBounded(w.g.num_nodes()));
-        const StructuralUpdate batch[] = {
-            StructuralUpdate::AddVertex(rng.NextDoubleIn(0.0, 2500.0),
-                                        rng.NextDoubleIn(0.0, 2500.0)),
-            StructuralUpdate::AddEdge(id, anchor,
-                                      rng.NextDoubleIn(1.0, 900.0)),
-        };
-        ASSERT_TRUE(ApplyStructuralUpdates(&w.g, &w.ads, keys, batch).ok());
-        w.order.push_back(id);
-        w.version += 2;
+        NodeId ru = 0, rv = 0;
+        const bool mixed = kind == 4 && PickEdge(w.g, rng, &u, &v) &&
+                           PickEdge(w.g, rng, &ru, &rv);
+        if (mixed) {
+          batch.push_back(StructuralUpdate::SetWeight(
+              u, v, rng.NextDoubleIn(1.0, 900.0)));
+        }
+        batch.push_back(StructuralUpdate::AddVertex(
+            rng.NextDoubleIn(0.0, 2500.0), rng.NextDoubleIn(0.0, 2500.0)));
+        batch.push_back(StructuralUpdate::AddEdge(
+            id, anchor, rng.NextDoubleIn(1.0, 900.0)));
+        if (mixed) {
+          batch.push_back(StructuralUpdate::SetWeight(
+              anchor, id, rng.NextDoubleIn(1.0, 900.0)));
+          batch.push_back(StructuralUpdate::RemoveEdge(ru, rv));
+        }
       }
+      ASSERT_NO_FATAL_FAILURE(
+          ApplyWholeAndInRuns(batch, &w, &twin_world.value()));
       ASSERT_EQ(w.ads.certificate.params.version, w.version);
       ASSERT_NO_FATAL_FAILURE(ExpectWorldMatchesRebuild(w));
       if (::testing::Test::HasFailure()) {
@@ -303,13 +342,14 @@ TEST(StructuralDifferentialCampaignTest, BatchMatchesSinglesWithOneSignature) {
   const std::vector<StructuralUpdate> ops = {
       StructuralUpdate::AddVertex(10.0, 20.0),
       StructuralUpdate::AddEdge(id, 5, 42.0),
+      StructuralUpdate::SetWeight(old_u, old_v, 17.0),
       StructuralUpdate::RemoveEdge(old_u, old_v),
   };
 
   const uint64_t signs_before = RsaSignOps();
   size_t copied = 0;
-  ASSERT_TRUE(ApplyStructuralUpdates(&w1.value().g, &w1.value().ads, keys,
-                                     ops, &copied)
+  ASSERT_TRUE(ApplyUpdates(&w1.value().g, &w1.value().ads, &keys, ops,
+                           &copied)
                   .ok());
   EXPECT_EQ(RsaSignOps() - signs_before, 1u);  // ONE signature for the batch
   EXPECT_EQ(w1.value().ads.certificate.params.version, ops.size());
@@ -317,7 +357,7 @@ TEST(StructuralDifferentialCampaignTest, BatchMatchesSinglesWithOneSignature) {
 
   for (const StructuralUpdate& op : ops) {
     ASSERT_TRUE(
-        ApplyStructuralUpdate(&w2.value().g, &w2.value().ads, keys, op).ok());
+        ApplyUpdates(&w2.value().g, &w2.value().ads, &keys, {&op, 1}).ok());
   }
   EXPECT_EQ(w1.value().ads.network.root(), w2.value().ads.network.root());
   EXPECT_EQ(CertificateBytes(w1.value().ads.certificate),
@@ -342,7 +382,7 @@ TEST(StructuralDifferentialCampaignTest, FailedOpLeavesNothingSigned) {
       StructuralUpdate::AddEdge(au, bv, 9.0),
       StructuralUpdate::AddEdge(u, v, 1.0),  // already present
   };
-  EXPECT_FALSE(ApplyStructuralUpdates(&w.g, &w.ads, keys, ops).ok());
+  EXPECT_FALSE(ApplyUpdates(&w.g, &w.ads, &keys, ops).ok());
   EXPECT_EQ(w.ads.certificate.params.version, 0u);
   // The caller discards the torn clone in the engine path; here the raw
   // updates layer documents the root may have moved — the certificate is
@@ -368,7 +408,7 @@ TEST(StructuralTamperTest, TamperedStructuralProofsAllRejected) {
       StructuralUpdate::AddEdge(id, 3, 15.0),
       StructuralUpdate::AddEdge(id, 9, 25.0),
   };
-  ASSERT_TRUE(ApplyStructuralUpdates(&w.g, &w.ads, keys, ops).ok());
+  ASSERT_TRUE(ApplyUpdates(&w.g, &w.ads, &keys, ops).ok());
 
   // A query whose shortest path crosses the new vertex would be ideal, but
   // any verifying answer exercises the grown tree (the proof's shape
@@ -453,7 +493,7 @@ TEST(StructuralEngineTest, DijRotationKeepsFrozenSnapshotsVerifiable) {
       StructuralUpdate::AddVertex(100.0, 100.0),
       StructuralUpdate::AddEdge(id, q.source, 12.0),
   };
-  auto version = engine->ApplyStructuralUpdates(ctx.keys, ops);
+  auto version = engine->ApplyUpdates(&ctx.keys, ops);
   ASSERT_TRUE(version.ok()) << version.status().ToString();
   EXPECT_EQ(version.value(), 2u);
 
@@ -478,11 +518,11 @@ TEST(StructuralEngineTest, RebuildMethodsReportFailedPrecondition) {
        {MethodKind::kFull, MethodKind::kLdm, MethodKind::kHyp}) {
     SCOPED_TRACE(std::string(ToString(kind)));
     auto engine = ctx.MakeMethodEngine(kind);
-    EXPECT_EQ(engine->ApplyStructuralUpdate(ctx.keys, op).status().code(),
+    EXPECT_EQ(engine->ApplyUpdates(&ctx.keys, {&op, 1}).status().code(),
               StatusCode::kFailedPrecondition);
     // An empty batch stays a no-op for every method — no rotation, no
     // version bump, no error.
-    auto version = engine->ApplyStructuralUpdates(ctx.keys, {});
+    auto version = engine->ApplyUpdates(&ctx.keys, {});
     ASSERT_TRUE(version.ok());
     EXPECT_EQ(version.value(), 0u);
   }

@@ -1,5 +1,5 @@
 // The coalescing owner queue (core/update_queue.h) and its ShardedEngine
-// wiring: triggers, run splitting, failed-flush requeue semantics, and the
+// wiring: triggers, max_batch runs, failed-flush requeue semantics, and the
 // headline claim — a K-update storm collapses into at most ceil(K/batch)
 // rotations with ONE signature each, with the stats books conserving.
 #include "core/update_queue.h"
@@ -21,27 +21,20 @@ namespace {
 using testing::CoreTestContext;
 using testing::ExpectShardStatsConserve;
 
-EdgeWeightUpdate Reweight(NodeId u, NodeId v, double w) {
-  return EdgeWeightUpdate{u, v, w};
+StructuralUpdate Reweight(NodeId u, NodeId v, double w) {
+  return StructuralUpdate::SetWeight(u, v, w);
 }
 
-// A flush sink that records every run it receives.
+// A flush sink that records every run it receives and can fail one call.
 struct RunRecorder {
-  std::vector<std::vector<EdgeWeightUpdate>> weight_runs;
-  std::vector<std::vector<StructuralUpdate>> structural_runs;
-  Status weight_result = Status::Ok();
-  Status structural_result = Status::Ok();
+  std::vector<std::vector<StructuralUpdate>> runs;
+  size_t fail_call = 0;  // 1-based call that returns an error; 0 = none
 
-  UpdateQueue::WeightFlushFn Weights() {
-    return [this](std::span<const EdgeWeightUpdate> run) {
-      weight_runs.emplace_back(run.begin(), run.end());
-      return weight_result;
-    };
-  }
-  UpdateQueue::StructuralFlushFn Structural() {
+  UpdateQueue::FlushFn Sink() {
     return [this](std::span<const StructuralUpdate> run) {
-      structural_runs.emplace_back(run.begin(), run.end());
-      return structural_result;
+      runs.emplace_back(run.begin(), run.end());
+      return runs.size() == fail_call ? Status::Internal("injected")
+                                      : Status::Ok();
     };
   }
 };
@@ -53,48 +46,47 @@ struct RunRecorder {
 TEST(UpdateQueueTest, CountTriggerFiresAtMaxBatch) {
   UpdateQueue queue({.max_batch = 4, .max_staleness_micros = 0});
   for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(queue.EnqueueWeight(Reweight(0, 1, i), /*now=*/10 * i));
+    EXPECT_FALSE(queue.Enqueue(Reweight(0, 1, i), /*now=*/10 * i));
   }
   // No staleness trigger: arbitrarily old ops do not request a flush...
   EXPECT_FALSE(queue.ShouldFlush(/*now=*/1'000'000'000));
   // ...but the fourth op reaches max_batch.
-  EXPECT_TRUE(queue.EnqueueWeight(Reweight(0, 1, 3.0), /*now=*/30));
+  EXPECT_TRUE(queue.Enqueue(Reweight(0, 1, 3.0), /*now=*/30));
   EXPECT_EQ(queue.pending(), 4u);
 }
 
 TEST(UpdateQueueTest, StalenessTriggerBoundsTheOldestOp) {
   UpdateQueue queue({.max_batch = 1000, .max_staleness_micros = 500});
-  EXPECT_FALSE(queue.EnqueueWeight(Reweight(0, 1, 1.0), /*now=*/100));
+  EXPECT_FALSE(queue.Enqueue(Reweight(0, 1, 1.0), /*now=*/100));
   EXPECT_FALSE(queue.ShouldFlush(/*now=*/599));  // age 499 < 500
   EXPECT_TRUE(queue.ShouldFlush(/*now=*/600));   // age 500 — due
   // The trigger keys on the OLDEST op: a fresh arrival cannot reset it.
-  EXPECT_TRUE(queue.EnqueueWeight(Reweight(0, 1, 2.0), /*now=*/600));
+  EXPECT_TRUE(queue.Enqueue(Reweight(0, 1, 2.0), /*now=*/600));
 }
 
-TEST(UpdateQueueTest, FlushSplitsMixedKindsIntoOrderedRuns) {
+TEST(UpdateQueueTest, FlushCutsMixedKindsIntoMaxBatchRunsInArrivalOrder) {
   UpdateQueue queue({.max_batch = 3});
-  // w w | s | w  (the weight pair, the structural singleton, the tail
-  // weight op — order preserved, kinds never mixed in a run).
-  queue.EnqueueWeight(Reweight(0, 1, 1.0), 0);
-  queue.EnqueueWeight(Reweight(2, 3, 2.0), 1);
-  queue.EnqueueStructural(StructuralUpdate::AddVertex(5.0, 6.0), 2);
-  queue.EnqueueWeight(Reweight(4, 5, 3.0), 3);
+  // w w s | w  — kinds mix freely inside a run; only max_batch cuts it,
+  // and arrival order is preserved across the cut.
+  queue.Enqueue(Reweight(0, 1, 1.0), 0);
+  queue.Enqueue(Reweight(2, 3, 2.0), 1);
+  queue.Enqueue(StructuralUpdate::AddVertex(5.0, 6.0), 2);
+  queue.Enqueue(Reweight(4, 5, 3.0), 3);
 
   RunRecorder sink;
-  ASSERT_TRUE(queue.Flush(/*now=*/10, sink.Weights(), sink.Structural()).ok());
+  ASSERT_TRUE(queue.Flush(/*now=*/10, sink.Sink()).ok());
   EXPECT_EQ(queue.pending(), 0u);
-  ASSERT_EQ(sink.weight_runs.size(), 2u);
-  ASSERT_EQ(sink.structural_runs.size(), 1u);
-  EXPECT_EQ(sink.weight_runs[0].size(), 2u);
-  EXPECT_DOUBLE_EQ(sink.weight_runs[0][1].new_weight, 2.0);
-  EXPECT_EQ(sink.structural_runs[0][0].kind, StructuralOpKind::kAddVertex);
-  EXPECT_EQ(sink.weight_runs[1].size(), 1u);
-  EXPECT_DOUBLE_EQ(sink.weight_runs[1][0].new_weight, 3.0);
+  ASSERT_EQ(sink.runs.size(), 2u);
+  ASSERT_EQ(sink.runs[0].size(), 3u);
+  EXPECT_DOUBLE_EQ(sink.runs[0][1].weight, 2.0);
+  EXPECT_EQ(sink.runs[0][2].kind, StructuralOpKind::kAddVertex);
+  ASSERT_EQ(sink.runs[1].size(), 1u);
+  EXPECT_DOUBLE_EQ(sink.runs[1][0].weight, 3.0);
 
   const UpdateQueueStats& stats = queue.stats();
   EXPECT_EQ(stats.enqueued, 4u);
   EXPECT_EQ(stats.flushes, 1u);
-  EXPECT_EQ(stats.rotations, 3u);
+  EXPECT_EQ(stats.rotations, 2u);  // ceil(4 / 3)
   EXPECT_EQ(stats.flushed_ops, 4u);
   EXPECT_EQ(stats.max_lag_micros, 10u);  // the oldest op was enqueued at 0
 }
@@ -102,49 +94,55 @@ TEST(UpdateQueueTest, FlushSplitsMixedKindsIntoOrderedRuns) {
 TEST(UpdateQueueTest, RunsAreCappedAtMaxBatch) {
   UpdateQueue queue({.max_batch = 4});
   for (int i = 0; i < 10; ++i) {
-    queue.EnqueueWeight(Reweight(0, 1, i), 0);
+    queue.Enqueue(Reweight(0, 1, i), 0);
   }
   RunRecorder sink;
-  ASSERT_TRUE(queue.Flush(0, sink.Weights(), sink.Structural()).ok());
-  // 10 same-kind ops at max_batch 4: runs of 4, 4, 2 = ceil(10/4) rotations.
-  ASSERT_EQ(sink.weight_runs.size(), 3u);
-  EXPECT_EQ(sink.weight_runs[0].size(), 4u);
-  EXPECT_EQ(sink.weight_runs[1].size(), 4u);
-  EXPECT_EQ(sink.weight_runs[2].size(), 2u);
+  ASSERT_TRUE(queue.Flush(0, sink.Sink()).ok());
+  // 10 ops at max_batch 4: runs of 4, 4, 2 = ceil(10/4) rotations.
+  ASSERT_EQ(sink.runs.size(), 3u);
+  EXPECT_EQ(sink.runs[0].size(), 4u);
+  EXPECT_EQ(sink.runs[1].size(), 4u);
+  EXPECT_EQ(sink.runs[2].size(), 2u);
   EXPECT_DOUBLE_EQ(queue.stats().CoalescingRatio(), 10.0 / 3.0);
 }
 
-TEST(UpdateQueueTest, FailedRunStaysBufferedAndRetriesInOrder) {
-  UpdateQueue queue({.max_batch = 8});
-  queue.EnqueueWeight(Reweight(0, 1, 1.0), 0);
-  queue.EnqueueStructural(StructuralUpdate::AddVertex(1.0, 1.0), 1);
-  queue.EnqueueWeight(Reweight(2, 3, 2.0), 2);
+TEST(UpdateQueueTest, FailedRunAndEverythingBehindItStayBufferedInOrder) {
+  UpdateQueue queue({.max_batch = 2});
+  queue.Enqueue(Reweight(0, 1, 1.0), 0);
+  queue.Enqueue(StructuralUpdate::AddVertex(1.0, 1.0), 1);
+  queue.Enqueue(Reweight(2, 3, 2.0), 2);
+  queue.Enqueue(StructuralUpdate::RemoveEdge(4, 5), 3);
+  queue.Enqueue(Reweight(6, 7, 3.0), 4);
 
   RunRecorder sink;
-  sink.structural_result = Status::Internal("injected");
-  // The leading weight run rotates; the structural run fails and keeps its
-  // place, blocking the weight op behind it (arrival order is a promise).
-  EXPECT_FALSE(queue.Flush(5, sink.Weights(), sink.Structural()).ok());
-  EXPECT_EQ(queue.pending(), 2u);
+  sink.fail_call = 2;
+  // The first run rotates; the second run fails and keeps its place,
+  // blocking the op behind it (arrival order is a promise).
+  EXPECT_FALSE(queue.Flush(5, sink.Sink()).ok());
+  EXPECT_EQ(queue.pending(), 3u);
   EXPECT_EQ(queue.stats().rotations, 1u);
-  EXPECT_EQ(queue.stats().flushed_ops, 1u);
+  EXPECT_EQ(queue.stats().flushed_ops, 2u);
 
   // The retry resumes exactly where the fault hit.
-  sink.structural_result = Status::Ok();
-  ASSERT_TRUE(queue.Flush(9, sink.Weights(), sink.Structural()).ok());
+  ASSERT_TRUE(queue.Flush(9, sink.Sink()).ok());
   EXPECT_EQ(queue.pending(), 0u);
-  ASSERT_EQ(sink.structural_runs.size(), 2u);  // the failed try + the retry
-  ASSERT_EQ(sink.weight_runs.size(), 2u);
-  EXPECT_DOUBLE_EQ(sink.weight_runs[1][0].new_weight, 2.0);
+  // The first run, the failed try, its retry, the tail.
+  ASSERT_EQ(sink.runs.size(), 4u);
+  ASSERT_EQ(sink.runs[2].size(), 2u);
+  EXPECT_DOUBLE_EQ(sink.runs[2][0].weight, 2.0);
+  EXPECT_EQ(sink.runs[2][1].kind, StructuralOpKind::kRemoveEdge);
+  ASSERT_EQ(sink.runs[3].size(), 1u);
+  EXPECT_DOUBLE_EQ(sink.runs[3][0].weight, 3.0);
   EXPECT_EQ(queue.stats().rotations, 3u);
-  EXPECT_EQ(queue.stats().flushed_ops, 3u);
+  EXPECT_EQ(queue.stats().flushed_ops, 5u);
 }
 
 TEST(UpdateQueueTest, EmptyFlushIsFreeAndZeroBatchClampsToOne) {
   UpdateQueue queue({.max_batch = 0});
   EXPECT_EQ(queue.options().max_batch, 1u);  // 0 could never flush
   RunRecorder sink;
-  ASSERT_TRUE(queue.Flush(0, sink.Weights(), sink.Structural()).ok());
+  ASSERT_TRUE(queue.Flush(0, sink.Sink()).ok());
+  EXPECT_TRUE(sink.runs.empty());
   EXPECT_EQ(queue.stats().flushes, 0u);
   EXPECT_DOUBLE_EQ(queue.stats().CoalescingRatio(), 0.0);
 }
@@ -165,8 +163,8 @@ std::unique_ptr<ShardedEngine> MakeDijFleet(size_t shards) {
 TEST(ShardedUpdateQueueTest, EnableIsOnceAndFleetModeNeedsReplicas) {
   auto sharded = MakeDijFleet(2);
   EXPECT_FALSE(sharded->update_queues_enabled());
-  EXPECT_EQ(sharded->EnqueueWeightUpdate(0, CoreTestContext::Get().keys,
-                                         Reweight(0, 1, 1.0), 0)
+  EXPECT_EQ(sharded->Enqueue(0, CoreTestContext::Get().keys,
+                             Reweight(0, 1, 1.0), 0)
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);  // not enabled yet
@@ -212,7 +210,7 @@ TEST(ShardedUpdateQueueTest, StormCollapsesIntoFewRotationsOneSignatureEach) {
       continue;
     }
     const NodeId v = neighbors[rng.NextBounded(neighbors.size())].to;
-    auto flushed = sharded->EnqueueWeightUpdate(
+    auto flushed = sharded->Enqueue(
         0, ctx.keys, Reweight(u, v, rng.NextDoubleIn(1.0, 500.0)), now);
     ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
     now += 10;
@@ -232,7 +230,7 @@ TEST(ShardedUpdateQueueTest, StormCollapsesIntoFewRotationsOneSignatureEach) {
   EXPECT_EQ(sharded->shard(0).certificate().params.version, qstats.enqueued);
 }
 
-TEST(ShardedUpdateQueueTest, MixedStormBooksConserveAcrossShards) {
+TEST(ShardedUpdateQueueTest, MixedStormRotatesOncePerGroupBooksConserve) {
   auto sharded = MakeDijFleet(2);
   const auto& ctx = CoreTestContext::Get();
   ASSERT_TRUE(sharded
@@ -240,25 +238,23 @@ TEST(ShardedUpdateQueueTest, MixedStormBooksConserveAcrossShards) {
                       {.max_batch = 4, .max_staleness_micros = 100})
                   .ok());
 
-  // Interleave weight and structural ops across both group queues.
+  // Interleave re-weight and shape-change ops across both group queues.
   uint64_t now = 0;
   for (size_t group = 0; group < 2; ++group) {
     const NodeId u = static_cast<NodeId>(10 + group);
     const NodeId v = ctx.graph.Neighbors(u)[0].to;
     ASSERT_TRUE(sharded
-                    ->EnqueueWeightUpdate(group, ctx.keys,
-                                          Reweight(u, v, 77.0), now)
+                    ->Enqueue(group, ctx.keys, Reweight(u, v, 77.0), now)
                     .ok());
     const NodeId fresh = static_cast<NodeId>(ctx.graph.num_nodes());
     ASSERT_TRUE(sharded
-                    ->EnqueueStructuralUpdate(
-                        group, ctx.keys,
-                        StructuralUpdate::AddVertex(1.0 + group, 2.0), now)
+                    ->Enqueue(group, ctx.keys,
+                              StructuralUpdate::AddVertex(1.0 + group, 2.0),
+                              now)
                     .ok());
     ASSERT_TRUE(sharded
-                    ->EnqueueStructuralUpdate(
-                        group, ctx.keys,
-                        StructuralUpdate::AddEdge(fresh, u, 5.0), now)
+                    ->Enqueue(group, ctx.keys,
+                              StructuralUpdate::AddEdge(fresh, u, 5.0), now)
                     .ok());
   }
   // Nothing is due yet (count 3 < 4, age 0): the poll is a no-op…
@@ -273,10 +269,9 @@ TEST(ShardedUpdateQueueTest, MixedStormBooksConserveAcrossShards) {
   const ShardedStats stats = sharded->GetStats();
   const ShardStats sum = ExpectShardStatsConserve(stats);
   EXPECT_EQ(sum.enqueued_updates, 6u);
-  EXPECT_EQ(sum.updates, 2u);             // one weight op per group
-  EXPECT_EQ(sum.structural_updates, 4u);  // two structural ops per group
-  // Each group flushed one weight run + one structural run.
-  EXPECT_EQ(sum.coalesced_rotations, 4u);
+  EXPECT_EQ(sum.updates, 6u);  // three ops of mixed kinds per group
+  // Each group flushed its three mixed ops as ONE run (max_batch 4).
+  EXPECT_EQ(sum.coalesced_rotations, 2u);
   EXPECT_EQ(stats.totals.update_lag_micros, 100u);
   // Every shard absorbed its three ops.
   EXPECT_EQ(stats.totals.certificate_version, 3u);
@@ -299,11 +294,9 @@ TEST(ShardedUpdateQueueTest, FleetLockStepQueueDrivesAllShards) {
 
   const NodeId u = 3;
   const NodeId v = ctx.graph.Neighbors(u)[0].to;
-  ASSERT_TRUE(
-      sharded->EnqueueWeightUpdate(0, ctx.keys, Reweight(u, v, 9.0), 0).ok());
+  ASSERT_TRUE(sharded->Enqueue(0, ctx.keys, Reweight(u, v, 9.0), 0).ok());
   // The second op hits max_batch: the flush runs the AllShards rotation.
-  auto flushed =
-      sharded->EnqueueWeightUpdate(0, ctx.keys, Reweight(u, v, 11.0), 1);
+  auto flushed = sharded->Enqueue(0, ctx.keys, Reweight(u, v, 11.0), 1);
   ASSERT_TRUE(flushed.ok()) << flushed.status().ToString();
   EXPECT_TRUE(flushed.value());
 

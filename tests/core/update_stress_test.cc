@@ -53,7 +53,7 @@ struct UndirectedEdge {
 /// jumps by the batch size with the intermediate states never published).
 struct AppliedRotation {
   uint32_t version;  // version_after: certificate version it published
-  std::vector<EdgeWeightUpdate> edges;
+  std::vector<StructuralUpdate> edges;
 };
 
 struct AcceptedAnswer {
@@ -114,13 +114,14 @@ TEST(UpdateStressTest, ServingStaysSoundWhileWritersRotateSnapshots) {
       Rng rng(kCampaignSeed + 100 + w);
       for (size_t i = 0; i < kRotationsPerWriter; ++i) {
         const size_t batch_edges = 1 + rng.NextBounded(kMaxBatchEdges);
-        std::vector<EdgeWeightUpdate> batch;
+        std::vector<StructuralUpdate> batch;
         batch.reserve(batch_edges);
         for (size_t j = 0; j < batch_edges; ++j) {
           const UndirectedEdge& e = edges[rng.NextBounded(edges.size())];
-          batch.push_back({e.u, e.v, e.weight * rng.NextDoubleIn(0.5, 2.0)});
+          batch.push_back(StructuralUpdate::SetWeight(
+              e.u, e.v, e.weight * rng.NextDoubleIn(0.5, 2.0)));
         }
-        auto version = engine.ApplyEdgeWeightUpdates(keys, batch);
+        auto version = engine.ApplyUpdates(&keys, batch);
         if (!version.ok()) {
           update_failures.fetch_add(1);
           continue;
@@ -243,8 +244,8 @@ TEST(UpdateStressTest, ServingStaysSoundWhileWritersRotateSnapshots) {
   };
   truth.emplace(0u, solve_all(replay));
   for (const auto& [version_after, rotation] : log) {
-    for (const EdgeWeightUpdate& up : rotation->edges) {
-      ASSERT_TRUE(replay.SetEdgeWeight(up.u, up.v, up.new_weight).ok());
+    for (const StructuralUpdate& up : rotation->edges) {
+      ASSERT_TRUE(replay.SetEdgeWeight(up.u, up.v, up.weight).ok());
     }
     truth.emplace(version_after, solve_all(replay));
   }

@@ -2,6 +2,8 @@
 // in the DIJ ADS (core/updates.h) and the underlying Merkle leaf update.
 #include "core/updates.h"
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 #include "core/core_test_context.h"
@@ -115,8 +117,10 @@ TEST_F(UpdatesTest, WeightChangePropagatesToAnswers) {
   const NodeId v = before.path.nodes[1];
   const double old_w = graph_.EdgeWeight(u, v).value();
 
-  ASSERT_TRUE(
-      UpdateEdgeWeight(&graph_, ads_.get(), keys, u, v, old_w * 50).ok());
+  ASSERT_TRUE(ApplyUpdates(&graph_, ads_.get(), &keys,
+                           std::array{StructuralUpdate::SetWeight(
+                               u, v, old_w * 50)})
+                  .ok());
   EXPECT_EQ(ads_->certificate.params.version, 1u);
 
   auto after = DijkstraShortestPath(graph_, q.source, q.target);
@@ -142,7 +146,10 @@ TEST_F(UpdatesTest, StaleProofFailsAgainstTheNewCertificate) {
   // Update an edge inside the stale proof's ball.
   const NodeId u = stale.value().path.nodes[0];
   const NodeId v = stale.value().path.nodes[1];
-  ASSERT_TRUE(UpdateEdgeWeight(&graph_, ads_.get(), keys, u, v, 9999).ok());
+  ASSERT_TRUE(
+      ApplyUpdates(&graph_, ads_.get(), &keys,
+                   std::array{StructuralUpdate::SetWeight(u, v, 9999)})
+          .ok());
   // The stale answer no longer verifies against the *new* certificate
   // (root moved); replaying it with the old certificate is the documented
   // freshness caveat.
@@ -164,7 +171,9 @@ TEST_F(UpdatesTest, ManySequentialUpdatesKeepTheAdsConsistent) {
     }
     const NodeId v = neighbors[rng.NextBounded(neighbors.size())].to;
     const double w = rng.NextDoubleIn(1.0, 500.0);
-    ASSERT_TRUE(UpdateEdgeWeight(&graph_, ads_.get(), keys, u, v, w).ok());
+    ASSERT_TRUE(ApplyUpdates(&graph_, ads_.get(), &keys,
+                             std::array{StructuralUpdate::SetWeight(u, v, w)})
+                    .ok());
   }
   // Full consistency check: a fresh build over the mutated graph must give
   // the same root.
@@ -182,7 +191,7 @@ TEST_F(UpdatesTest, ManySequentialUpdatesKeepTheAdsConsistent) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch equivalence: one ApplyEdgeWeightUpdates({e1..ek}) pass must land on
+// Batch equivalence: one ApplyUpdates({e1..ek}) pass must land on
 // exactly the state k single-update passes land on — same graph weights,
 // same ADS root, same certificate bytes (deterministic PKCS#1 v1.5 signing
 // over the same root + version) — across random graphs, with the version
@@ -208,7 +217,7 @@ TEST(BatchUpdateEquivalenceTest, BatchMatchesSinglesAcrossRandomGraphs) {
     // Seeded batch; include a repeated edge so last-wins ordering is
     // exercised.
     Rng rng(seed + 1000);
-    std::vector<EdgeWeightUpdate> updates;
+    std::vector<StructuralUpdate> updates;
     for (int i = 0; i < 5; ++i) {
       const NodeId u = static_cast<NodeId>(rng.NextBounded(base.num_nodes()));
       auto neighbors = base.Neighbors(u);
@@ -216,19 +225,22 @@ TEST(BatchUpdateEquivalenceTest, BatchMatchesSinglesAcrossRandomGraphs) {
         continue;
       }
       const NodeId v = neighbors[rng.NextBounded(neighbors.size())].to;
-      updates.push_back({u, v, rng.NextDoubleIn(1.0, 400.0)});
+      updates.push_back(
+          StructuralUpdate::SetWeight(u, v, rng.NextDoubleIn(1.0, 400.0)));
     }
     ASSERT_FALSE(updates.empty());
-    updates.push_back({updates[0].u, updates[0].v, 123.5});  // repeat, wins
+    // A repeat, which wins.
+    updates.push_back(
+        StructuralUpdate::SetWeight(updates[0].u, updates[0].v, 123.5));
 
-    for (const EdgeWeightUpdate& up : updates) {
-      ASSERT_TRUE(UpdateEdgeWeight(&g_singles, &ads_singles.value(),
-                                   keys, up.u, up.v, up.new_weight)
-                      .ok());
+    for (const StructuralUpdate& up : updates) {
+      ASSERT_TRUE(
+          ApplyUpdates(&g_singles, &ads_singles.value(), &keys, {&up, 1})
+              .ok());
     }
     size_t copied = 0;
-    ASSERT_TRUE(ApplyEdgeWeightUpdates(&g_batch, &ads_batch.value(),
-                                       keys, updates, &copied)
+    ASSERT_TRUE(ApplyUpdates(&g_batch, &ads_batch.value(), &keys, updates,
+                             &copied)
                     .ok());
 
     // Same version (k bumps vs one +k bump), same root, same signature.
@@ -242,7 +254,7 @@ TEST(BatchUpdateEquivalenceTest, BatchMatchesSinglesAcrossRandomGraphs) {
               ads_batch.value().certificate.signature);
 
     // Same graph: every updated edge agrees in both directions.
-    for (const EdgeWeightUpdate& up : updates) {
+    for (const StructuralUpdate& up : updates) {
       EXPECT_DOUBLE_EQ(g_singles.EdgeWeight(up.u, up.v).value(),
                        g_batch.EdgeWeight(up.u, up.v).value());
       EXPECT_DOUBLE_EQ(g_singles.EdgeWeight(up.v, up.u).value(),
@@ -280,9 +292,10 @@ TEST_F(UpdatesTest, BatchRejectsNonExistentEdgeWithoutSigning) {
     }
   }
   const NodeId good_v = graph_.Neighbors(0)[0].to;
-  const EdgeWeightUpdate updates[] = {{0, good_v, 7.0}, {0, bad_v, 5.0}};
-  EXPECT_FALSE(
-      ApplyEdgeWeightUpdates(&graph_, ads_.get(), keys, updates).ok());
+  const StructuralUpdate updates[] = {
+      StructuralUpdate::SetWeight(0, good_v, 7.0),
+      StructuralUpdate::SetWeight(0, bad_v, 5.0)};
+  EXPECT_FALSE(ApplyUpdates(&graph_, ads_.get(), &keys, updates).ok());
   // The certificate was never re-signed for the partial batch.
   EXPECT_EQ(ads_->certificate.params.version, 0u);
 }
@@ -290,7 +303,7 @@ TEST_F(UpdatesTest, BatchRejectsNonExistentEdgeWithoutSigning) {
 TEST_F(UpdatesTest, EmptyBatchIsANoOp) {
   const auto& keys = CoreTestContext::Get().keys;
   const Digest root_before = ads_->network.root();
-  ASSERT_TRUE(ApplyEdgeWeightUpdates(&graph_, ads_.get(), keys, {}).ok());
+  ASSERT_TRUE(ApplyUpdates(&graph_, ads_.get(), &keys, {}).ok());
   EXPECT_EQ(ads_->certificate.params.version, 0u);
   EXPECT_EQ(ads_->network.root(), root_before);
 }
@@ -304,7 +317,10 @@ TEST_F(UpdatesTest, RejectsNonExistentEdge) {
       break;
     }
   }
-  EXPECT_FALSE(UpdateEdgeWeight(&graph_, ads_.get(), keys, u, v, 5.0).ok());
+  EXPECT_FALSE(
+      ApplyUpdates(&graph_, ads_.get(), &keys,
+                   std::array{StructuralUpdate::SetWeight(u, v, 5.0)})
+          .ok());
 }
 
 }  // namespace

@@ -214,11 +214,9 @@ TEST(NetE2eTest, WatermarkSurvivesReconnectAndRejectsStaleReplayServer) {
 
   // Owner update bumps the certificate version fleet-wide.
   const UndirectedEdgeInfo e = AnyEdge(ctx.graph);
-  const EdgeWeightUpdate update{e.u, e.v, e.weight * 1.5};
-  ASSERT_TRUE(engine
-                  ->ApplyEdgeWeightUpdatesAllShards(
-                      *ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1))
-                  .ok());
+  const StructuralUpdate update =
+      StructuralUpdate::SetWeight(e.u, e.v, e.weight * 1.5);
+  ASSERT_TRUE(engine->ApplyUpdatesAllShards(*ctx.keys, {&update, 1}).ok());
   auto second = client.Query(q);
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(second.value().outcome.accepted);
@@ -529,12 +527,10 @@ TEST(NetE2eTest, ForestModeAmortizesToOneRsaVerifyPerEpoch) {
   // answer re-anchors the client to epoch 2 through the inline
   // certificate — one more RSA verify, no reconnect.
   const UndirectedEdgeInfo e = AnyEdge(ctx.graph);
-  const EdgeWeightUpdate update{e.u, e.v, e.weight * 1.25};
+  const StructuralUpdate update =
+      StructuralUpdate::SetWeight(e.u, e.v, e.weight * 1.25);
   const uint64_t signs_before = RsaSignOps();
-  ASSERT_TRUE(engine
-                  ->ApplyEdgeWeightUpdatesAllShards(
-                      *ctx.keys, std::span<const EdgeWeightUpdate>(&update, 1))
-                  .ok());
+  ASSERT_TRUE(engine->ApplyUpdatesAllShards(*ctx.keys, {&update, 1}).ok());
   EXPECT_EQ(RsaSignOps() - signs_before, 1u);
   auto after = client.Query(RandomQuery(rng, ctx.graph.num_nodes()));
   ASSERT_TRUE(after.ok());

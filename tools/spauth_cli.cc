@@ -7,16 +7,19 @@
 //
 // `demo` runs the full three-party protocol and prints per-query proof
 // sizes and verification outcomes; `estimate` fits the proof-size model
-// (the paper's future-work item) and prints predictions.
+// (the paper's future-work item) and prints predictions. Each command
+// declares its flags: `spauth_cli COMMAND --help` lists them, and an
+// unknown flag exits 2 (tools/flags.h).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <initializer_list>
 #include <string>
 
 #include "core/client.h"
 #include "core/engine.h"
 #include "core/estimator.h"
+#include "flags.h"
 #include "graph/dijkstra.h"
 #include "graph/generator.h"
 #include "graph/graph_io.h"
@@ -27,51 +30,21 @@ using namespace spauth;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-  std::string positional;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stol(it->second);
-  }
-};
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) {
-    args.command = argv[1];
-  }
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.flags[token.substr(2)] = argv[++i];
-    } else {
-      args.positional = token;
-    }
-  }
-  return args;
-}
+constexpr const char* kUsage =
+    "usage:\n"
+    "  spauth_cli generate --nodes N [--seed S] [--edge-factor F] --out FILE\n"
+    "  spauth_cli info FILE\n"
+    "  spauth_cli demo --method dij|full|ldm|hyp [--graph FILE] [--queries K] "
+    "[--range R]\n"
+    "  spauth_cli estimate --method dij|full|ldm|hyp [--graph FILE]\n"
+    "  spauth_cli COMMAND --help lists the command's flags";
 
 int Usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  spauth_cli generate --nodes N [--seed S] [--edge-factor F] "
-               "--out FILE\n"
-               "  spauth_cli info FILE\n"
-               "  spauth_cli demo --method dij|full|ldm|hyp [--graph FILE] "
-               "[--queries K] [--range R]\n"
-               "  spauth_cli estimate --method dij|full|ldm|hyp "
-               "[--graph FILE]\n");
+  std::fprintf(stderr, "%s\n", kUsage);
   return 2;
 }
 
-Result<Graph> LoadOrGenerate(const Args& args) {
+Result<Graph> LoadOrGenerate(const tools::Flags& args) {
   const std::string path = args.Get("graph", "");
   if (!path.empty()) {
     return LoadGraphFromFile(path);
@@ -91,7 +64,7 @@ Result<MethodKind> ParseMethod(const std::string& name) {
   return Status::InvalidArgument("unknown method: " + name);
 }
 
-int CmdGenerate(const Args& args) {
+int CmdGenerate(const tools::Flags& args) {
   RoadNetworkOptions options;
   options.num_nodes = static_cast<uint32_t>(args.GetInt("nodes", 1200));
   options.seed = static_cast<uint64_t>(args.GetInt("seed", 1));
@@ -112,11 +85,11 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
-int CmdInfo(const Args& args) {
-  if (args.positional.empty()) {
-    return Usage();
+int CmdInfo(const tools::Flags& args) {
+  if (args.positional().empty()) {
+    args.Fail("info needs a graph FILE");
   }
-  auto graph = LoadGraphFromFile(args.positional);
+  auto graph = LoadGraphFromFile(args.positional());
   if (!graph.ok()) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
@@ -151,7 +124,7 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
-int CmdDemo(const Args& args) {
+int CmdDemo(const tools::Flags& args) {
   auto method = ParseMethod(args.Get("method", "hyp"));
   if (!method.ok()) {
     return Usage();
@@ -208,7 +181,7 @@ int CmdDemo(const Args& args) {
   return 0;
 }
 
-int CmdEstimate(const Args& args) {
+int CmdEstimate(const tools::Flags& args) {
   auto method = ParseMethod(args.Get("method", "ldm"));
   if (!method.ok()) {
     return Usage();
@@ -249,18 +222,45 @@ int CmdEstimate(const Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
-  if (args.command == "generate") {
-    return CmdGenerate(args);
+  const std::string command = argc >= 2 ? argv[1] : "";
+  if (command == "--help" || command == "-h") {
+    std::printf("%s\n", kUsage);
+    return 0;
   }
-  if (args.command == "info") {
-    return CmdInfo(args);
+  const auto parse = [&](std::initializer_list<tools::FlagSpec> specs,
+                         bool positional = false) {
+    return tools::Flags::Parse(
+        argc, argv, 2,
+        "usage: spauth_cli " + command +
+            (positional ? " FILE" : " [--flag value ...]"),
+        specs, positional);
+  };
+  if (command == "generate") {
+    return CmdGenerate(
+        parse({{"nodes", "road-network nodes (default 1200)"},
+               {"seed", "road-network seed (default 1)"},
+               {"edge-factor", "edges per node (default 1.05)"},
+               {"out", "output file (default network.graph)"}}));
   }
-  if (args.command == "demo") {
-    return CmdDemo(args);
+  if (command == "info") {
+    return CmdInfo(parse({}, /*positional=*/true));
   }
-  if (args.command == "estimate") {
-    return CmdEstimate(args);
+  if (command == "demo") {
+    return CmdDemo(
+        parse({{"method", "dij|full|ldm|hyp (default hyp)"},
+               {"graph", "graph file; generated when absent"},
+               {"nodes", "generated road-network nodes (default 1200)"},
+               {"seed", "generated road-network seed (default 1)"},
+               {"key-seed", "owner key seed (default 99)"},
+               {"queries", "queries to answer and verify (default 10)"},
+               {"range", "query range (default 2000)"}}));
+  }
+  if (command == "estimate") {
+    return CmdEstimate(
+        parse({{"method", "dij|full|ldm|hyp (default ldm)"},
+               {"graph", "graph file; generated when absent"},
+               {"nodes", "generated road-network nodes (default 1200)"},
+               {"seed", "generated road-network seed (default 1)"}}));
   }
   return Usage();
 }

@@ -8,54 +8,33 @@
 // queries in pipelined batches, verifies every answer, and prints one JSON
 // summary line. Exit code 0 iff every exchanged answer verified (server
 // errors under fault injection are reported but are not failures; a
-// VERIFICATION rejection is).
+// VERIFICATION rejection is). --help prints every flag; an unknown flag
+// exits 2 (tools/flags.h).
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "net/client.h"
 #include "util/rng.h"
 
 using namespace spauth;
 
-namespace {
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stol(it->second);
-  }
-};
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0 && i + 1 < argc) {
-      args.flags[token.substr(2)] = argv[++i];
-    }
-  }
-  return args;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
-  if (args.flags.find("port") == args.flags.end()) {
-    std::fprintf(stderr,
-                 "usage: spauth_client --port P [--host H] [--key-seed S] "
-                 "[--key-bits B] [--queries N] [--seed S] [--batch K] "
-                 "[--staleness-bound D] [--stats 1]\n");
-    return 2;
+  const tools::Flags args = tools::Flags::Parse(
+      argc, argv, 1, "usage: spauth_client --port P [--flag value ...]",
+      {{"port", "server port (required)"},
+       {"host", "server address (default 127.0.0.1)"},
+       {"key-seed", "owner key seed the server was started with (default 7)"},
+       {"key-bits", "owner RSA modulus bits (default 512)"},
+       {"queries", "random queries to issue (default 100)"},
+       {"seed", "query stream seed (default 11)"},
+       {"batch", "queries pipelined per batch (default 16)"},
+       {"staleness-bound", "accepted certificate-version lag (default 0)"},
+       {"stats", "1 also fetches and prints the server stats (default 0)"}});
+  if (!args.Has("port")) {
+    args.Fail("--port is required");
   }
 
   Rng key_rng(static_cast<uint64_t>(args.GetInt("key-seed", 7)));

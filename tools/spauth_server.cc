@@ -17,6 +17,7 @@
 //
 // --fault arms a fail point (probability mode) in this process:
 // name:probability[:seed]. Repeatable. Requires a failpoints-ON build.
+// --help prints every flag and exits; an unknown flag exits 2 (tools/flags.h).
 #include <unistd.h>
 
 #include <atomic>
@@ -24,12 +25,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/sharded_engine.h"
+#include "flags.h"
 #include "graph/generator.h"
 #include "net/server.h"
 #include "util/failpoint.h"
@@ -42,36 +43,6 @@ namespace {
 std::atomic<int> g_signal{0};
 
 void OnSignal(int sig) { g_signal.store(sig); }
-
-struct Args {
-  std::map<std::string, std::string> flags;
-  std::vector<std::string> faults;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stol(it->second);
-  }
-};
-
-Args Parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0 && i + 1 < argc) {
-      std::string key = token.substr(2);
-      if (key == "fault") {
-        args.faults.emplace_back(argv[++i]);
-      } else {
-        args.flags[key] = argv[++i];
-      }
-    }
-  }
-  return args;
-}
 
 /// name:probability[:seed]
 bool ArmFault(const std::string& spec) {
@@ -93,7 +64,22 @@ bool ArmFault(const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
+  const tools::Flags args = tools::Flags::Parse(
+      argc, argv, 1, "usage: spauth_server [--flag value ...]",
+      {{"port", "TCP port; 0 picks an ephemeral one (default 7471)"},
+       {"host", "address to bind (default 127.0.0.1)"},
+       {"nodes", "road-network nodes (default 2000)"},
+       {"graph-seed", "road-network seed (default 1)"},
+       {"key-seed", "owner key seed clients must share (default 7)"},
+       {"key-bits", "owner RSA modulus bits (default 512)"},
+       {"groups", "routing groups (default 2)"},
+       {"replicas", "replicas per group (default 1)"},
+       {"proof-cache", "1 serves from a proof cache, 0 does not (default 1)"},
+       {"cache-capacity", "proof-cache entries per engine (default 4096)"},
+       {"workers", "serving worker threads (default 2)"},
+       {"duration-s", "stop after this many seconds; 0 runs until a signal"},
+       {"fault", "arm a fail point, name:probability[:seed]; repeatable",
+        /*repeatable=*/true}});
 
   RoadNetworkOptions graph_options;
   graph_options.num_nodes =
@@ -135,7 +121,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  for (const std::string& fault : args.faults) {
+  for (const std::string& fault : args.GetAll("fault")) {
     if (!FailPointsCompiledIn()) {
       std::fprintf(stderr, "--fault requires a failpoints-ON build\n");
       return 1;
