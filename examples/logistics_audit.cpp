@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "adversary/tamper.h"
 #include "core/engine.h"
 #include "graph/generator.h"
 #include "graph/workload.h"
@@ -59,8 +60,8 @@ int main() {
     // The shady provider inflates roughly every third route.
     const bool cheat = coin.NextBounded(3) == 0;
     Result<ProofBundle> bundle =
-        cheat ? engine.value()->TamperedAnswer(route,
-                                               TamperKind::kSuboptimalPath)
+        cheat ? TamperedAnswer(*engine.value(), route,
+                               TamperKind::kSuboptimalPath)
               : engine.value()->Answer(route);
     if (!bundle.ok()) {
       // No longer alternative exists for this route; the provider has to

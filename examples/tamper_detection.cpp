@@ -6,6 +6,7 @@
 // Build & run:  ./build/examples/tamper_detection
 #include <cstdio>
 
+#include "adversary/tamper.h"
 #include "core/engine.h"
 #include "graph/generator.h"
 #include "graph/workload.h"
@@ -55,7 +56,7 @@ int main() {
       }
       std::string cell = "n/a";
       for (const Query& q : queries.value()) {
-        auto forged = engine.value()->TamperedAnswer(q, tamper);
+        auto forged = TamperedAnswer(*engine.value(), q, tamper);
         if (!forged.ok()) {
           continue;  // attack not applicable / no opportunity here
         }

@@ -5,8 +5,8 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/engine.h"
 #include "core/forest_certificate.h"
+#include "core/method_traits.h"
 #include "core/verify_workspace.h"
 #include "util/byte_buffer.h"
 #include "util/thread_pool.h"
@@ -14,26 +14,6 @@
 namespace spauth {
 
 namespace {
-
-/// Decodes one answer into `answer` (workspace scratch) and verifies it,
-/// writing the result into `out`. The answer type's verifier receives the
-/// same workspace; it never touches the decode scratch it was handed.
-template <typename Answer, typename VerifyFn>
-void DecodeAndVerifyInto(const RsaPublicKey& owner_key,
-                         const Certificate& cert, const Query& query,
-                         ByteReader* reader, Answer& answer, VerifyFn verify,
-                         VerifyWorkspace& ws, WireVerification* out) {
-  out->method = cert.params.method;
-  Status decoded = Answer::DeserializeInto(reader, &answer);
-  if (!decoded.ok() || !reader->AtEnd()) {
-    out->outcome = VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
-                                         "answer decode failed");
-    return;
-  }
-  out->path.nodes.assign(answer.path.nodes.begin(), answer.path.nodes.end());
-  out->distance = answer.distance;
-  out->outcome = verify(owner_key, cert, query, answer, ws);
-}
 
 /// Resets the per-message output fields the dispatch may leave untouched.
 void ResetVerification(WireVerification* out) {
@@ -126,47 +106,23 @@ namespace {
 void DispatchAnswerVerify(const RsaPublicKey& owner_key, const Query& query,
                           ByteReader* reader, VerifyWorkspace& ws,
                           WireVerification* out) {
+  out->method = ws.cert.params.method;
   out->version = ws.cert.params.version;
-  switch (ws.cert.params.method) {
-    case MethodKind::kDij:
-      DecodeAndVerifyInto<DijAnswer>(
-          owner_key, ws.cert, query, reader, ws.dij,
-          [](const RsaPublicKey& key, const Certificate& cert,
-             const Query& q, const DijAnswer& answer, VerifyWorkspace& w) {
-            return VerifyDijAnswer(key, cert, q, answer, w);
-          },
-          ws, out);
+  // Decodes into the method's workspace scratch; its verifier receives the
+  // same workspace and never touches the decode scratch it was handed.
+  VisitMethod(out->method, [&](auto method) {
+    using M = decltype(method);
+    typename M::Answer& answer = M::Scratch(ws);
+    Status decoded = M::Answer::DeserializeInto(reader, &answer);
+    if (!decoded.ok() || !reader->AtEnd()) {
+      out->outcome = VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
+                                           "answer decode failed");
       return;
-    case MethodKind::kFull:
-      DecodeAndVerifyInto<FullAnswer>(
-          owner_key, ws.cert, query, reader, ws.full,
-          [](const RsaPublicKey& key, const Certificate& cert,
-             const Query& q, const FullAnswer& answer, VerifyWorkspace& w) {
-            return VerifyFullAnswer(key, cert, q, answer, w);
-          },
-          ws, out);
-      return;
-    case MethodKind::kLdm:
-      DecodeAndVerifyInto<LdmAnswer>(
-          owner_key, ws.cert, query, reader, ws.ldm,
-          [](const RsaPublicKey& key, const Certificate& cert,
-             const Query& q, const LdmAnswer& answer, VerifyWorkspace& w) {
-            return VerifyLdmAnswer(key, cert, q, answer, w);
-          },
-          ws, out);
-      return;
-    case MethodKind::kHyp:
-      DecodeAndVerifyInto<HypAnswer>(
-          owner_key, ws.cert, query, reader, ws.hyp,
-          [](const RsaPublicKey& key, const Certificate& cert,
-             const Query& q, const HypAnswer& answer, VerifyWorkspace& w) {
-            return VerifyHypAnswer(key, cert, q, answer, w);
-          },
-          ws, out);
-      return;
-  }
-  out->outcome = VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
-                                       "unknown method in certificate");
+    }
+    out->path.nodes.assign(answer.path.nodes.begin(), answer.path.nodes.end());
+    out->distance = answer.distance;
+    out->outcome = M::Verify(owner_key, ws.cert, query, answer, ws);
+  });
 }
 
 }  // namespace

@@ -2,41 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <unordered_set>
+#include <string>
 
-#include "core/dij.h"
-#include "core/full.h"
-#include "core/hyp.h"
-#include "core/ldm.h"
+#include "core/client.h"
+#include "core/method_traits.h"
 #include "core/snapshot_store.h"
 #include "core/updates.h"
 #include "core/wal.h"
 #include "core/verify_workspace.h"
-#include "graph/dijkstra.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace spauth {
-
-std::string_view ToString(TamperKind kind) {
-  switch (kind) {
-    case TamperKind::kSuboptimalPath:
-      return "suboptimal-path";
-    case TamperKind::kTamperWeight:
-      return "tamper-weight";
-    case TamperKind::kDropTuple:
-      return "drop-tuple";
-    case TamperKind::kForgeDistanceValue:
-      return "forge-distance";
-    case TamperKind::kBogusSignature:
-      return "bogus-signature";
-    case TamperKind::kPhantomEdge:
-      return "phantom-edge";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // Snapshot plumbing
@@ -53,8 +31,11 @@ struct MethodEngine::StateRetirer {
   }
 };
 
-MethodEngine::MethodEngine(const EngineOptions& options)
-    : cache_enabled_(options.enable_proof_cache),
+MethodEngine::MethodEngine(const EngineOptions& options,
+                           RsaPublicKey owner_key)
+    : owner_key_(std::move(owner_key)),
+      algosp_(options.provider_algorithm),
+      cache_enabled_(options.enable_proof_cache),
       cache_capacity_(options.proof_cache_capacity),
       cache_shards_(options.proof_cache_shards) {}
 
@@ -215,6 +196,23 @@ VerifyOutcome MethodEngine::Verify(const Query& query,
   return Verify(query, bundle, ws);
 }
 
+VerifyOutcome MethodEngine::Verify(const Query& query,
+                                   const ProofBundle& bundle,
+                                   VerifyWorkspace& ws) const {
+  WireVerification wire;
+  VerifyWireAnswer(owner_key_, query, bundle.bytes, ws, &wire);
+  // The wire verifier follows whichever method the certificate names; an
+  // engine vouches for its own method only.
+  if (wire.method != kind() &&
+      wire.outcome.failure != VerifyFailure::kMalformedProof) {
+    return VerifyOutcome::Reject(
+        VerifyFailure::kBadCertificate,
+        "certificate is for " + std::string(ToString(wire.method)) +
+            ", not " + std::string(name()));
+  }
+  return std::move(wire.outcome);
+}
+
 std::vector<Result<ProofBundle>> MethodEngine::AnswerBatch(
     std::span<const Query> queries, size_t num_threads) const {
   std::vector<Result<ProofBundle>> results(
@@ -254,147 +252,65 @@ std::vector<Result<ProofBundle>> MethodEngine::AnswerBatch(
 
 namespace {
 
-/// Wire layout shared by all engines: certificate followed by the answer.
-/// `cert_size` is the (per-snapshot constant) certificate wire size;
-/// together with Answer::SerializedSize() it pre-sizes the buffer so
-/// assembly never reallocates.
-template <typename Answer>
-std::vector<uint8_t> EncodeBundle(const Certificate& cert,
-                                  const Answer& answer, size_t cert_size) {
-  ByteWriter w;
-  const size_t expected = cert_size + answer.SerializedSize();
-  w.Reserve(expected);
-  cert.Serialize(&w);
-  answer.Serialize(&w);
-  assert(w.size() == expected && "SerializedSize out of sync with Serialize");
-  return w.TakeBytes();
-}
-
-/// Decodes a bundle into workspace scratch (certificate + answer), reusing
-/// the scratch capacity across bundles.
-template <typename Answer>
-Status DecodeBundleInto(std::span<const uint8_t> bytes, Certificate* cert,
-                        Answer* answer) {
-  ByteReader r(bytes);
-  SPAUTH_RETURN_IF_ERROR(Certificate::DeserializeInto(&r, cert));
-  SPAUTH_RETURN_IF_ERROR(Answer::DeserializeInto(&r, answer));
-  if (!r.AtEnd()) {
-    return Status::Malformed("trailing bytes after answer");
-  }
-  return Status::Ok();
-}
-
-/// Flips one bit inside the certificate's signature region of a bundle.
-/// The signature is the last length-prefixed field of the certificate,
-/// which is the first structure in the bundle — rather than tracking
-/// offsets, re-encode with a corrupted certificate.
-template <typename Answer>
-std::vector<uint8_t> EncodeWithBogusSignature(Certificate cert,
-                                              const Answer& answer) {
-  if (!cert.signature.empty()) {
-    cert.signature[cert.signature.size() / 2] ^= 0x40;
-  }
-  return EncodeBundle(cert, answer, cert.SerializedSize());
-}
-
-/// Computes a strictly-longer alternative path by deleting one edge of the
-/// true shortest path at a time. NotFound if every alternative ties or the
-/// target becomes unreachable.
-Result<PathSearchResult> FindSuboptimalPath(const Graph& g,
-                                            const Query& query) {
-  PathSearchResult best = DijkstraShortestPath(g, query.source, query.target);
-  if (!best.reachable) {
-    return Status::NotFound("unreachable");
-  }
-  for (size_t hop = 1; hop < best.path.nodes.size(); ++hop) {
-    const NodeId u = best.path.nodes[hop - 1];
-    const NodeId v = best.path.nodes[hop];
-    // Rebuild the graph without edge (u, v).
-    GraphBuilder builder;
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      builder.AddNode(g.x(n), g.y(n));
-    }
-    for (NodeId n = 0; n < g.num_nodes(); ++n) {
-      for (const Edge& e : g.Neighbors(n)) {
-        if (n < e.to && !(n == std::min(u, v) && e.to == std::max(u, v))) {
-          Status s = builder.AddEdge(n, e.to, e.weight);
-          if (!s.ok()) {
-            return s;
-          }
-        }
-      }
-    }
-    auto reduced = builder.Build();
-    if (!reduced.ok()) {
-      return reduced.status();
-    }
-    PathSearchResult alt =
-        DijkstraShortestPath(reduced.value(), query.source, query.target);
-    if (alt.reachable &&
-        alt.distance > best.distance + 10 * VerifySlack(best.distance)) {
-      return alt;
-    }
-  }
-  return Status::NotFound("no strictly longer alternative path");
-}
-
-/// Picks a tuple inside `proof` (by node id) and perturbs one of its edge
-/// weights without re-hashing — the tampered-weight attack.
-Status CorruptOneTupleWeight(TupleSetProof* proof) {
-  for (ExtendedTuple& t : proof->tuples) {
-    if (!t.neighbors.empty()) {
-      t.neighbors[0].weight += 1.0;
-      return Status::Ok();
-    }
-  }
-  return Status::NotFound("no tuple with neighbors to corrupt");
-}
-
-// ---------------------------------------------------------------------------
-// DIJ engine
-// ---------------------------------------------------------------------------
-
-/// DIJ snapshot: the network ADS (its certificate mirrors
-/// EngineState::certificate by construction).
-struct DijState final : EngineState {
-  explicit DijState(DijAds a) : ads(std::move(a)) {}
-  DijAds ads;
-};
-
-class DijEngine : public MethodEngine {
+/// The one engine: serves method M's snapshots through M's provider.
+/// Owner-side updates, durable snapshots and adoption are DIJ-only
+/// (DijEngine below); every other method keeps the base class's
+/// FailedPrecondition answers.
+template <typename M>
+class AdsEngine : public MethodEngine {
  public:
-  DijEngine(const EngineOptions& options,
-            std::shared_ptr<const Graph> g, DijAds ads,
-            RsaPublicKey owner_key)
-      : MethodEngine(options),
-        owner_key_(std::move(owner_key)),
-        algosp_(options.provider_algorithm) {
-    auto state = std::make_unique<DijState>(std::move(ads));
-    state->graph = std::move(g);
-    state->certificate = state->ads.certificate;
-    state->cert_size = state->certificate.SerializedSize();
-    PublishState(std::move(state));
+  using Snapshot = AdsState<typename M::Ads>;
+
+  AdsEngine(const EngineOptions& options, std::shared_ptr<const Graph> g,
+            typename M::Ads ads, RsaPublicKey owner_key)
+      : MethodEngine(options, std::move(owner_key)) {
+    PublishState(NewSnapshot(std::move(g), std::move(ads)));
   }
 
-  MethodKind kind() const override { return MethodKind::kDij; }
+  MethodKind kind() const override { return M::kKind; }
   size_t storage_bytes() const override {
-    return State()->ads.network.StorageBytes();
+    return M::StorageBytes(Current()->ads);
   }
 
+ protected:
   Result<ProofBundle> AnswerUncached(const EngineState& state,
                                      const Query& query,
                                      SearchWorkspace& ws) const override {
-    const DijState& s = static_cast<const DijState&>(state);
-    DijProvider provider(s.graph.get(), &s.ads, algosp_);
-    SPAUTH_ASSIGN_OR_RETURN(DijAnswer answer, provider.Answer(query, ws));
-    return MakeBundle(s, answer);
+    const Snapshot& s = static_cast<const Snapshot&>(state);
+    const typename M::Provider provider(s.graph.get(), &s.ads,
+                                        provider_algorithm());
+    SPAUTH_ASSIGN_OR_RETURN(typename M::Answer answer,
+                            provider.Answer(query, ws));
+    return MakeBundle<M>(s.certificate, s.cert_size, answer);
   }
+
+  /// A snapshot serving `ads` over `g`, its certificate mirrored out of
+  /// the ADS.
+  static std::unique_ptr<Snapshot> NewSnapshot(std::shared_ptr<const Graph> g,
+                                               typename M::Ads ads) {
+    auto state = std::make_unique<Snapshot>(std::move(ads));
+    state->graph = std::move(g);
+    state->certificate = state->ads.certificate;
+    state->cert_size = state->certificate.SerializedSize();
+    return state;
+  }
+
+  std::shared_ptr<const Snapshot> Current() const {
+    return std::static_pointer_cast<const Snapshot>(CurrentState());
+  }
+};
+
+/// DIJ's ADS absorbs updates incrementally (core/updates.h), so only DIJ
+/// rotates, persists and adopts snapshots.
+class DijEngine final : public AdsEngine<DijMethod> {
+ public:
+  using AdsEngine::AdsEngine;
 
   Result<uint32_t> ApplyUpdates(
       const RsaKeyPair* keys,
       std::span<const StructuralUpdate> ops) override {
     std::unique_lock<std::mutex> rotation = LockForUpdate();
-    const std::shared_ptr<const DijState> cur = State();
+    const std::shared_ptr<const Snapshot> cur = Current();
     if (ops.empty()) {
       return cur->certificate.params.version;  // nothing to absorb
     }
@@ -407,12 +323,11 @@ class DijEngine : public MethodEngine {
     // batch publishes nothing.
     size_t copied_bytes = 0;
     auto graph = std::make_shared<Graph>(*cur->graph);
-    auto next = std::make_unique<DijState>(cur->ads);
-    SPAUTH_RETURN_IF_ERROR(spauth::ApplyUpdates(graph.get(), &next->ads, keys,
-                                                ops, &copied_bytes));
-    next->graph = std::move(graph);
-    next->certificate = next->ads.certificate;
-    next->cert_size = next->certificate.SerializedSize();
+    DijAds ads = cur->ads;
+    SPAUTH_RETURN_IF_ERROR(
+        spauth::ApplyUpdates(graph.get(), &ads, keys, ops, &copied_bytes));
+    std::unique_ptr<Snapshot> next =
+        NewSnapshot(std::move(graph), std::move(ads));
     const uint32_t version = next->certificate.params.version;
     // Durability barrier: the batch reaches the write-ahead log (and the
     // disk) before anything can observe the new snapshot. A crash after
@@ -433,7 +348,7 @@ class DijEngine : public MethodEngine {
   }
 
   Status SerializeDurableState(ByteWriter* out) const override {
-    EncodeSnapshotPayload(State()->ads, out);
+    EncodeSnapshotPayload(Current()->ads, out);
     return Status::Ok();
   }
 
@@ -443,9 +358,9 @@ class DijEngine : public MethodEngine {
           "state adoption requires a distinct DIJ sibling");
     }
     std::unique_lock<std::mutex> rotation = LockForUpdate();
-    const auto src = std::static_pointer_cast<const DijState>(
-        source.CurrentState());
-    const std::shared_ptr<const DijState> cur = State();
+    const auto src =
+        std::static_pointer_cast<const Snapshot>(source.CurrentState());
+    const std::shared_ptr<const Snapshot> cur = Current();
     if (cur->certificate.params.version >= src->certificate.params.version) {
       return cur->certificate.params.version;  // already caught up
     }
@@ -453,639 +368,86 @@ class DijEngine : public MethodEngine {
     // structural sharing a rotation exploits, except nothing is copied but
     // the spines. The sibling's future rotations copy-on-write away from
     // these chunks, never through them.
-    auto next = std::make_unique<DijState>(src->ads);
-    next->graph = src->graph;
-    next->certificate = next->ads.certificate;
-    next->cert_size = next->certificate.SerializedSize();
+    std::unique_ptr<Snapshot> next = NewSnapshot(src->graph, src->ads);
     const uint32_t version = next->certificate.params.version;
     PublishState(std::move(next));
     return version;
   }
-
-  Result<ProofBundle> TamperedAnswer(const Query& query,
-                                     TamperKind kind) const override {
-    const std::shared_ptr<const DijState> s = State();
-    const Graph& g = *s->graph;
-    DijProvider provider(s->graph.get(), &s->ads, algosp_);
-    switch (kind) {
-      case TamperKind::kSuboptimalPath: {
-        SPAUTH_ASSIGN_OR_RETURN(PathSearchResult alt,
-                                FindSuboptimalPath(g, query));
-        // "Honest" proof generation relative to the longer distance.
-        BallResult ball = DijkstraBall(g, query.source,
-                                       alt.distance +
-                                           ProviderSlack(alt.distance));
-        DijAnswer answer;
-        answer.path = std::move(alt.path);
-        answer.distance = alt.distance;
-        SPAUTH_ASSIGN_OR_RETURN(answer.subgraph,
-                                s->ads.network.ProveTuples(ball.nodes));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kTamperWeight: {
-        SPAUTH_ASSIGN_OR_RETURN(DijAnswer answer, provider.Answer(query));
-        SPAUTH_RETURN_IF_ERROR(CorruptOneTupleWeight(&answer.subgraph));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kDropTuple: {
-        SPAUTH_ASSIGN_OR_RETURN(DijAnswer answer, provider.Answer(query));
-        BallResult ball = DijkstraBall(g, query.source,
-                                       answer.distance +
-                                           ProviderSlack(answer.distance));
-        std::unordered_set<NodeId> path_nodes(answer.path.nodes.begin(),
-                                              answer.path.nodes.end());
-        NodeId victim = kInvalidNode;
-        std::vector<NodeId> kept;
-        for (size_t i = 0; i < ball.nodes.size(); ++i) {
-          const NodeId v = ball.nodes[i];
-          if (victim == kInvalidNode && !path_nodes.contains(v) &&
-              ball.dist[i] > 0 && ball.dist[i] < answer.distance * 0.8) {
-            victim = v;  // interior node the client's Dijkstra must expand
-            continue;
-          }
-          kept.push_back(v);
-        }
-        if (victim == kInvalidNode) {
-          return Status::NotFound("no droppable interior tuple");
-        }
-        SPAUTH_ASSIGN_OR_RETURN(answer.subgraph,
-                                s->ads.network.ProveTuples(kept));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kBogusSignature: {
-        SPAUTH_ASSIGN_OR_RETURN(DijAnswer answer, provider.Answer(query));
-        ProofBundle bundle = MakeBundle(*s, answer);
-        bundle.bytes = EncodeWithBogusSignature(s->ads.certificate, answer);
-        return bundle;
-      }
-      case TamperKind::kPhantomEdge: {
-        SPAUTH_ASSIGN_OR_RETURN(DijAnswer answer, provider.Answer(query));
-        answer.path.nodes = {query.source, query.target};
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kForgeDistanceValue:
-        return Status::FailedPrecondition("DIJ has no distance entries");
-    }
-    return Status::Internal("unhandled tamper kind");
-  }
-
-  using MethodEngine::Verify;
-  VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
-                       VerifyWorkspace& ws) const override {
-    if (Status s = DecodeBundleInto<DijAnswer>(bundle.bytes, &ws.cert,
-                                               &ws.dij);
-        !s.ok()) {
-      return VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
-                                   s.message());
-    }
-    return VerifyDijAnswer(owner_key_, ws.cert, query, ws.dij, ws);
-  }
-
- private:
-  std::shared_ptr<const DijState> State() const {
-    return std::static_pointer_cast<const DijState>(CurrentState());
-  }
-
-  ProofBundle MakeBundle(const DijState& s, const DijAnswer& answer) const {
-    ProofBundle bundle;
-    bundle.path = answer.path;
-    bundle.distance = answer.distance;
-    bundle.bytes = EncodeBundle(s.ads.certificate, answer, s.cert_size);
-    bundle.stats.sp_bytes = answer.subgraph.TupleBytes();
-    bundle.stats.t_bytes = answer.subgraph.IntegrityBytes() + s.cert_size;
-    bundle.stats.sp_items = answer.subgraph.tuples.size();
-    bundle.stats.t_items = answer.subgraph.proof.num_digests();
-    return bundle;
-  }
-
-  RsaPublicKey owner_key_;
-  SpAlgorithm algosp_;
 };
 
-// ---------------------------------------------------------------------------
-// FULL engine
-// ---------------------------------------------------------------------------
-
-struct FullState final : EngineState {
-  explicit FullState(FullAds a) : ads(std::move(a)) {}
-  FullAds ads;
+/// The engine class serving method M.
+template <typename M>
+struct EngineFor {
+  using type = AdsEngine<M>;
 };
-
-class FullEngine : public MethodEngine {
- public:
-  FullEngine(const EngineOptions& options,
-            std::shared_ptr<const Graph> g, FullAds ads,
-            RsaPublicKey owner_key)
-      : MethodEngine(options),
-        owner_key_(std::move(owner_key)),
-        algosp_(options.provider_algorithm) {
-    auto state = std::make_unique<FullState>(std::move(ads));
-    state->graph = std::move(g);
-    state->certificate = state->ads.certificate;
-    state->cert_size = state->certificate.SerializedSize();
-    PublishState(std::move(state));
-  }
-
-  MethodKind kind() const override { return MethodKind::kFull; }
-  size_t storage_bytes() const override {
-    const std::shared_ptr<const FullState> s = State();
-    return s->ads.network.StorageBytes() + s->ads.distances.StorageBytes();
-  }
-
-  Result<ProofBundle> AnswerUncached(const EngineState& state,
-                                     const Query& query,
-                                     SearchWorkspace& ws) const override {
-    const FullState& s = static_cast<const FullState&>(state);
-    FullProvider provider(s.graph.get(), &s.ads, algosp_);
-    SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query, ws));
-    return MakeBundle(s, answer);
-  }
-
-  Result<ProofBundle> TamperedAnswer(const Query& query,
-                                     TamperKind kind) const override {
-    const std::shared_ptr<const FullState> s = State();
-    const Graph& g = *s->graph;
-    FullProvider provider(s->graph.get(), &s->ads, algosp_);
-    switch (kind) {
-      case TamperKind::kSuboptimalPath: {
-        SPAUTH_ASSIGN_OR_RETURN(PathSearchResult alt,
-                                FindSuboptimalPath(g, query));
-        SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query));
-        answer.distance = alt.distance;
-        answer.path = alt.path;
-        SPAUTH_ASSIGN_OR_RETURN(
-            answer.path_tuples,
-            s->ads.network.ProveTuples(answer.path.nodes));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kTamperWeight: {
-        SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query));
-        SPAUTH_RETURN_IF_ERROR(CorruptOneTupleWeight(&answer.path_tuples));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kDropTuple: {
-        SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query));
-        if (answer.path.nodes.size() < 3) {
-          return Status::NotFound("path too short to drop a tuple");
-        }
-        std::vector<NodeId> kept = answer.path.nodes;
-        kept.erase(kept.begin() + static_cast<ptrdiff_t>(kept.size() / 2));
-        SPAUTH_ASSIGN_OR_RETURN(answer.path_tuples,
-                                s->ads.network.ProveTuples(kept));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kForgeDistanceValue: {
-        SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query));
-        answer.distance_proof.entries[0].value *= 1.1;
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kBogusSignature: {
-        SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query));
-        auto bundle = MakeBundle(*s, answer);
-        if (!bundle.ok()) {
-          return bundle;
-        }
-        bundle.value().bytes =
-            EncodeWithBogusSignature(s->ads.certificate, answer);
-        return bundle;
-      }
-      case TamperKind::kPhantomEdge: {
-        SPAUTH_ASSIGN_OR_RETURN(FullAnswer answer, provider.Answer(query));
-        answer.path.nodes = {query.source, query.target};
-        return MakeBundle(*s, answer);
-      }
-    }
-    return Status::Internal("unhandled tamper kind");
-  }
-
-  using MethodEngine::Verify;
-  VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
-                       VerifyWorkspace& ws) const override {
-    if (Status s = DecodeBundleInto<FullAnswer>(bundle.bytes, &ws.cert,
-                                                &ws.full);
-        !s.ok()) {
-      return VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
-                                   s.message());
-    }
-    return VerifyFullAnswer(owner_key_, ws.cert, query, ws.full, ws);
-  }
-
- private:
-  std::shared_ptr<const FullState> State() const {
-    return std::static_pointer_cast<const FullState>(CurrentState());
-  }
-
-  Result<ProofBundle> MakeBundle(const FullState& s,
-                                 const FullAnswer& answer) const {
-    ProofBundle bundle;
-    bundle.path = answer.path;
-    bundle.distance = answer.distance;
-    bundle.bytes = EncodeBundle(s.ads.certificate, answer, s.cert_size);
-    // Gamma_S: the authenticated distance tuple and its B-tree digests.
-    bundle.stats.sp_bytes = answer.distance_proof.SerializedSize();
-    bundle.stats.sp_items = answer.distance_proof.entries.size() +
-                            answer.distance_proof.tree_proof.num_digests();
-    // Gamma_T: the path tuples and the network digests.
-    bundle.stats.t_bytes = answer.path_tuples.TupleBytes() +
-                           answer.path_tuples.IntegrityBytes() + s.cert_size;
-    bundle.stats.t_items = answer.path_tuples.tuples.size() +
-                           answer.path_tuples.proof.num_digests();
-    return bundle;
-  }
-
-  RsaPublicKey owner_key_;
-  SpAlgorithm algosp_;
-};
-
-// ---------------------------------------------------------------------------
-// LDM engine
-// ---------------------------------------------------------------------------
-
-struct LdmState final : EngineState {
-  explicit LdmState(LdmAds a) : ads(std::move(a)) {}
-  LdmAds ads;
-};
-
-class LdmEngine : public MethodEngine {
- public:
-  LdmEngine(const EngineOptions& options,
-            std::shared_ptr<const Graph> g, LdmAds ads,
-            RsaPublicKey owner_key)
-      : MethodEngine(options),
-        owner_key_(std::move(owner_key)),
-        algosp_(options.provider_algorithm) {
-    auto state = std::make_unique<LdmState>(std::move(ads));
-    state->graph = std::move(g);
-    state->certificate = state->ads.certificate;
-    state->cert_size = state->certificate.SerializedSize();
-    PublishState(std::move(state));
-  }
-
-  MethodKind kind() const override { return MethodKind::kLdm; }
-  size_t storage_bytes() const override {
-    const std::shared_ptr<const LdmState> s = State();
-    return s->ads.network.StorageBytes() + s->ads.ref.size() * 12;
-  }
-
-  Result<ProofBundle> AnswerUncached(const EngineState& state,
-                                     const Query& query,
-                                     SearchWorkspace& ws) const override {
-    const LdmState& s = static_cast<const LdmState&>(state);
-    LdmProvider provider(s.graph.get(), &s.ads, algosp_);
-    SPAUTH_ASSIGN_OR_RETURN(LdmAnswer answer, provider.Answer(query, ws));
-    return MakeBundle(s, answer);
-  }
-
-  Result<ProofBundle> TamperedAnswer(const Query& query,
-                                     TamperKind kind) const override {
-    const std::shared_ptr<const LdmState> s = State();
-    const Graph& g = *s->graph;
-    LdmProvider provider(s->graph.get(), &s->ads, algosp_);
-    switch (kind) {
-      case TamperKind::kSuboptimalPath: {
-        SPAUTH_ASSIGN_OR_RETURN(PathSearchResult alt,
-                                FindSuboptimalPath(g, query));
-        // Re-issue the provider's proof against the inflated distance by
-        // answering a fake "claim": rebuild Gamma_S around alt.distance.
-        SPAUTH_ASSIGN_OR_RETURN(LdmAnswer honest, provider.Answer(query));
-        LdmAnswer answer;
-        answer.path = std::move(alt.path);
-        answer.distance = alt.distance;
-        // A superset proof (radius alt.distance) keeps the Merkle part
-        // valid while the path is suboptimal.
-        BallResult ball = DijkstraBall(g, query.source,
-                                       alt.distance +
-                                           ProviderSlack(alt.distance));
-        std::vector<NodeId> nodes = ball.nodes;
-        const size_t direct = nodes.size();
-        for (size_t i = 0; i < direct; ++i) {
-          for (const Edge& e : g.Neighbors(nodes[i])) {
-            nodes.push_back(e.to);
-          }
-        }
-        const size_t with_neighbors = nodes.size();
-        for (size_t i = 0; i < with_neighbors; ++i) {
-          nodes.push_back(s->ads.ref[nodes[i]]);
-        }
-        nodes.push_back(query.source);
-        nodes.push_back(query.target);
-        nodes.push_back(s->ads.ref[query.source]);
-        nodes.push_back(s->ads.ref[query.target]);
-        SPAUTH_ASSIGN_OR_RETURN(answer.subgraph,
-                                s->ads.network.ProveTuples(nodes));
-        (void)honest;
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kTamperWeight: {
-        SPAUTH_ASSIGN_OR_RETURN(LdmAnswer answer, provider.Answer(query));
-        SPAUTH_RETURN_IF_ERROR(CorruptOneTupleWeight(&answer.subgraph));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kDropTuple: {
-        SPAUTH_ASSIGN_OR_RETURN(LdmAnswer answer, provider.Answer(query));
-        if (answer.path.nodes.size() < 3) {
-          return Status::NotFound("path too short to drop a tuple");
-        }
-        // Drop a middle path node from the proof (it is certainly needed).
-        const NodeId victim =
-            answer.path.nodes[answer.path.nodes.size() / 2];
-        std::vector<NodeId> kept;
-        for (const ExtendedTuple& t : answer.subgraph.tuples) {
-          if (t.id != victim) {
-            kept.push_back(t.id);
-          }
-        }
-        SPAUTH_ASSIGN_OR_RETURN(answer.subgraph,
-                                s->ads.network.ProveTuples(kept));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kBogusSignature: {
-        SPAUTH_ASSIGN_OR_RETURN(LdmAnswer answer, provider.Answer(query));
-        auto bundle = MakeBundle(*s, answer);
-        if (!bundle.ok()) {
-          return bundle;
-        }
-        bundle.value().bytes =
-            EncodeWithBogusSignature(s->ads.certificate, answer);
-        return bundle;
-      }
-      case TamperKind::kPhantomEdge: {
-        SPAUTH_ASSIGN_OR_RETURN(LdmAnswer answer, provider.Answer(query));
-        answer.path.nodes = {query.source, query.target};
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kForgeDistanceValue:
-        return Status::FailedPrecondition("LDM has no distance entries");
-    }
-    return Status::Internal("unhandled tamper kind");
-  }
-
-  using MethodEngine::Verify;
-  VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
-                       VerifyWorkspace& ws) const override {
-    if (Status s = DecodeBundleInto<LdmAnswer>(bundle.bytes, &ws.cert,
-                                               &ws.ldm);
-        !s.ok()) {
-      return VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
-                                   s.message());
-    }
-    return VerifyLdmAnswer(owner_key_, ws.cert, query, ws.ldm, ws);
-  }
-
- private:
-  std::shared_ptr<const LdmState> State() const {
-    return std::static_pointer_cast<const LdmState>(CurrentState());
-  }
-
-  Result<ProofBundle> MakeBundle(const LdmState& s,
-                                 const LdmAnswer& answer) const {
-    ProofBundle bundle;
-    bundle.path = answer.path;
-    bundle.distance = answer.distance;
-    bundle.bytes = EncodeBundle(s.ads.certificate, answer, s.cert_size);
-    bundle.stats.sp_bytes = answer.subgraph.TupleBytes();
-    bundle.stats.t_bytes = answer.subgraph.IntegrityBytes() + s.cert_size;
-    bundle.stats.sp_items = answer.subgraph.tuples.size();
-    bundle.stats.t_items = answer.subgraph.proof.num_digests();
-    return bundle;
-  }
-
-  RsaPublicKey owner_key_;
-  SpAlgorithm algosp_;
-};
-
-// ---------------------------------------------------------------------------
-// HYP engine
-// ---------------------------------------------------------------------------
-
-struct HypState final : EngineState {
-  explicit HypState(HypAds a) : ads(std::move(a)) {}
-  HypAds ads;
-};
-
-class HypEngine : public MethodEngine {
- public:
-  HypEngine(const EngineOptions& options,
-            std::shared_ptr<const Graph> g, HypAds ads,
-            RsaPublicKey owner_key)
-      : MethodEngine(options),
-        owner_key_(std::move(owner_key)),
-        algosp_(options.provider_algorithm) {
-    auto state = std::make_unique<HypState>(std::move(ads));
-    state->graph = std::move(g);
-    state->certificate = state->ads.certificate;
-    state->cert_size = state->certificate.SerializedSize();
-    PublishState(std::move(state));
-  }
-
-  MethodKind kind() const override { return MethodKind::kHyp; }
-  size_t storage_bytes() const override {
-    const std::shared_ptr<const HypState> s = State();
-    return s->ads.network.StorageBytes() + s->ads.distances.StorageBytes();
-  }
-
-  Result<ProofBundle> AnswerUncached(const EngineState& state,
-                                     const Query& query,
-                                     SearchWorkspace& ws) const override {
-    const HypState& s = static_cast<const HypState&>(state);
-    HypProvider provider(s.graph.get(), &s.ads, algosp_);
-    SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query, ws));
-    return MakeBundle(s, answer);
-  }
-
-  Result<ProofBundle> TamperedAnswer(const Query& query,
-                                     TamperKind kind) const override {
-    const std::shared_ptr<const HypState> s = State();
-    const Graph& g = *s->graph;
-    HypProvider provider(s->graph.get(), &s->ads, algosp_);
-    switch (kind) {
-      case TamperKind::kSuboptimalPath: {
-        SPAUTH_ASSIGN_OR_RETURN(PathSearchResult alt,
-                                FindSuboptimalPath(g, query));
-        SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query));
-        answer.distance = alt.distance;
-        answer.path = alt.path;
-        // Tuple proof must still cover the (new) path nodes.
-        std::vector<NodeId> nodes;
-        for (const ExtendedTuple& t : answer.tuples.tuples) {
-          nodes.push_back(t.id);
-        }
-        nodes.insert(nodes.end(), alt.path.nodes.begin(),
-                     alt.path.nodes.end());
-        SPAUTH_ASSIGN_OR_RETURN(answer.tuples,
-                                s->ads.network.ProveTuples(nodes));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kTamperWeight: {
-        SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query));
-        SPAUTH_RETURN_IF_ERROR(CorruptOneTupleWeight(&answer.tuples));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kDropTuple: {
-        SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query));
-        // Drop a source-cell tuple that is not on the path: the client's
-        // cell count check must catch it.
-        const uint32_t cell_s =
-            s->ads.hiti.partition().CellOf(query.source);
-        std::unordered_set<NodeId> path_nodes(answer.path.nodes.begin(),
-                                              answer.path.nodes.end());
-        NodeId victim = kInvalidNode;
-        std::vector<NodeId> kept;
-        for (const ExtendedTuple& t : answer.tuples.tuples) {
-          if (victim == kInvalidNode && t.cell == cell_s &&
-              !path_nodes.contains(t.id) && t.id != query.source) {
-            victim = t.id;
-            continue;
-          }
-          kept.push_back(t.id);
-        }
-        if (victim == kInvalidNode) {
-          return Status::NotFound("no droppable cell tuple");
-        }
-        SPAUTH_ASSIGN_OR_RETURN(answer.tuples,
-                                s->ads.network.ProveTuples(kept));
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kForgeDistanceValue: {
-        SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query));
-        if (!answer.has_hyper_edges || answer.hyper_edges.entries.empty()) {
-          return Status::NotFound("no hyper-edge entries to forge");
-        }
-        answer.hyper_edges.entries[0].value *= 1.1;
-        return MakeBundle(*s, answer);
-      }
-      case TamperKind::kBogusSignature: {
-        SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query));
-        auto bundle = MakeBundle(*s, answer);
-        if (!bundle.ok()) {
-          return bundle;
-        }
-        bundle.value().bytes =
-            EncodeWithBogusSignature(s->ads.certificate, answer);
-        return bundle;
-      }
-      case TamperKind::kPhantomEdge: {
-        SPAUTH_ASSIGN_OR_RETURN(HypAnswer answer, provider.Answer(query));
-        answer.path.nodes = {query.source, query.target};
-        return MakeBundle(*s, answer);
-      }
-    }
-    return Status::Internal("unhandled tamper kind");
-  }
-
-  using MethodEngine::Verify;
-  VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
-                       VerifyWorkspace& ws) const override {
-    if (Status s = DecodeBundleInto<HypAnswer>(bundle.bytes, &ws.cert,
-                                               &ws.hyp);
-        !s.ok()) {
-      return VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
-                                   s.message());
-    }
-    return VerifyHypAnswer(owner_key_, ws.cert, query, ws.hyp, ws);
-  }
-
- private:
-  std::shared_ptr<const HypState> State() const {
-    return std::static_pointer_cast<const HypState>(CurrentState());
-  }
-
-  Result<ProofBundle> MakeBundle(const HypState& s,
-                                 const HypAnswer& answer) const {
-    ProofBundle bundle;
-    bundle.path = answer.path;
-    bundle.distance = answer.distance;
-    bundle.bytes = EncodeBundle(s.ads.certificate, answer, s.cert_size);
-    // Gamma_S: tuples + hyper-edge entries; Gamma_T: all digests + indices.
-    const size_t hyper_entry_bytes =
-        answer.has_hyper_edges ? 4 + answer.hyper_edges.entries.size() * 20
-                               : 0;
-    const size_t hyper_digest_bytes =
-        answer.has_hyper_edges
-            ? answer.hyper_edges.tree_proof.SerializedSize()
-            : 0;
-    bundle.stats.sp_bytes = answer.tuples.TupleBytes() + hyper_entry_bytes;
-    bundle.stats.t_bytes = answer.tuples.IntegrityBytes() +
-                           hyper_digest_bytes + s.cert_size;
-    bundle.stats.sp_items =
-        answer.tuples.tuples.size() +
-        (answer.has_hyper_edges ? answer.hyper_edges.entries.size() : 0);
-    bundle.stats.t_items =
-        answer.tuples.proof.num_digests() +
-        (answer.has_hyper_edges ? answer.hyper_edges.tree_proof.num_digests()
-                                : 0);
-    return bundle;
-  }
-
-  RsaPublicKey owner_key_;
-  SpAlgorithm algosp_;
+template <>
+struct EngineFor<DijMethod> {
+  using type = DijEngine;
 };
 
 }  // namespace
+
+Result<DijAds> DijMethod::Build(const Graph& g, const EngineOptions& options,
+                                const RsaKeyPair& keys) {
+  DijOptions o;
+  o.ordering = options.ordering;
+  o.fanout = options.fanout;
+  o.alg = options.alg;
+  o.seed = options.seed;
+  return BuildDijAds(g, o, keys);
+}
+
+Result<FullAds> FullMethod::Build(const Graph& g,
+                                  const EngineOptions& options,
+                                  const RsaKeyPair& keys) {
+  FullOptions o;
+  o.ordering = options.ordering;
+  o.fanout = options.fanout;
+  o.distance_fanout = options.distance_fanout;
+  o.alg = options.alg;
+  o.use_floyd_warshall = options.full_use_floyd_warshall;
+  o.seed = options.seed;
+  return BuildFullAds(g, o, keys);
+}
+
+Result<LdmAds> LdmMethod::Build(const Graph& g, const EngineOptions& options,
+                                const RsaKeyPair& keys) {
+  LdmOptions o;
+  o.ordering = options.ordering;
+  o.fanout = options.fanout;
+  o.alg = options.alg;
+  o.num_landmarks = options.num_landmarks;
+  o.quantization_bits = options.quantization_bits;
+  o.compression_xi = options.compression_xi;
+  o.strategy = options.landmark_strategy;
+  o.seed = options.seed;
+  return BuildLdmAds(g, o, keys);
+}
+
+Result<HypAds> HypMethod::Build(const Graph& g, const EngineOptions& options,
+                                const RsaKeyPair& keys) {
+  HypOptions o;
+  o.ordering = options.ordering;
+  o.fanout = options.fanout;
+  o.distance_fanout = options.distance_fanout;
+  o.alg = options.alg;
+  o.num_cells = options.num_cells;
+  o.seed = options.seed;
+  return BuildHypAds(g, o, keys);
+}
 
 Result<std::unique_ptr<MethodEngine>> MakeEngine(const Graph& g,
                                                  const EngineOptions& options,
                                                  const RsaKeyPair& keys) {
   WallTimer timer;
   std::unique_ptr<MethodEngine> engine;
-  switch (options.method) {
-    case MethodKind::kDij: {
-      DijOptions o;
-      o.ordering = options.ordering;
-      o.fanout = options.fanout;
-      o.alg = options.alg;
-      o.seed = options.seed;
-      SPAUTH_ASSIGN_OR_RETURN(DijAds ads, BuildDijAds(g, o, keys));
-      engine = std::make_unique<DijEngine>(options, UnownedGraph(g),
-                                           std::move(ads),
-                                           keys.public_key());
-      break;
-    }
-    case MethodKind::kFull: {
-      FullOptions o;
-      o.ordering = options.ordering;
-      o.fanout = options.fanout;
-      o.distance_fanout = options.distance_fanout;
-      o.alg = options.alg;
-      o.use_floyd_warshall = options.full_use_floyd_warshall;
-      o.seed = options.seed;
-      SPAUTH_ASSIGN_OR_RETURN(FullAds ads, BuildFullAds(g, o, keys));
-      engine = std::make_unique<FullEngine>(options, UnownedGraph(g),
-                                           std::move(ads),
-                                           keys.public_key());
-      break;
-    }
-    case MethodKind::kLdm: {
-      LdmOptions o;
-      o.ordering = options.ordering;
-      o.fanout = options.fanout;
-      o.alg = options.alg;
-      o.num_landmarks = options.num_landmarks;
-      o.quantization_bits = options.quantization_bits;
-      o.compression_xi = options.compression_xi;
-      o.strategy = options.landmark_strategy;
-      o.seed = options.seed;
-      SPAUTH_ASSIGN_OR_RETURN(LdmAds ads, BuildLdmAds(g, o, keys));
-      engine = std::make_unique<LdmEngine>(options, UnownedGraph(g),
-                                           std::move(ads),
-                                           keys.public_key());
-      break;
-    }
-    case MethodKind::kHyp: {
-      HypOptions o;
-      o.ordering = options.ordering;
-      o.fanout = options.fanout;
-      o.distance_fanout = options.distance_fanout;
-      o.alg = options.alg;
-      o.num_cells = options.num_cells;
-      o.seed = options.seed;
-      SPAUTH_ASSIGN_OR_RETURN(HypAds ads, BuildHypAds(g, o, keys));
-      engine = std::make_unique<HypEngine>(options, UnownedGraph(g),
-                                           std::move(ads),
-                                           keys.public_key());
-      break;
-    }
-  }
+  SPAUTH_RETURN_IF_ERROR(VisitMethod(options.method, [&](auto method) {
+    using M = decltype(method);
+    SPAUTH_ASSIGN_OR_RETURN(typename M::Ads ads, M::Build(g, options, keys));
+    engine = std::make_unique<typename EngineFor<M>::type>(
+        options, UnownedGraph(g), std::move(ads), keys.public_key());
+    return Status::Ok();
+  }));
   // Record the owner's offline construction time (Figures 8c, 9b, 12b, 13b).
   engine->set_construction_seconds(timer.ElapsedSeconds());
   return engine;

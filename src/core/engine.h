@@ -9,8 +9,11 @@
 //   client:   Verify(query, bundle) -> VerifyOutcome (only public key used)
 //
 // The bundle's bytes are the real wire message (certificate + answer); the
-// benches report exactly these sizes. TamperedAnswer simulates the paper's
-// threat model: a provider that alters results or proofs in six ways.
+// benches report exactly these sizes. One engine class serves all four
+// methods: what differs per method (ADS, provider, answer layout, proof
+// accounting) is described once in core/method_traits.h, and Verify is the
+// standalone client's wire verifier (core/client.h) pinned to the engine's
+// method.
 //
 // Serving is snapshot-based (core/engine_state.h): every query serves
 // from an acquired immutable EngineState, so owner-side updates rotate in
@@ -43,24 +46,6 @@ namespace spauth {
 
 struct VerifyWorkspace;  // core/verify_workspace.h
 class Wal;               // core/wal.h
-
-/// Adversarial mutations of a provider answer (core/engine.cc documents the
-/// rejection each must trigger).
-enum class TamperKind {
-  kSuboptimalPath,      // return a longer real path with "honest" proofs
-  kTamperWeight,        // alter an edge weight inside a shipped tuple
-  kDropTuple,           // omit a tuple, regenerate a root-valid Merkle proof
-  kForgeDistanceValue,  // alter an authenticated distance entry
-  kBogusSignature,      // corrupt the certificate signature
-  kPhantomEdge,         // report a path over a non-existent edge
-};
-std::string_view ToString(TamperKind kind);
-
-inline constexpr TamperKind kAllTamperKinds[] = {
-    TamperKind::kSuboptimalPath,     TamperKind::kTamperWeight,
-    TamperKind::kDropTuple,          TamperKind::kForgeDistanceValue,
-    TamperKind::kBogusSignature,     TamperKind::kPhantomEdge,
-};
 
 /// Size/item accounting split into shortest-path proof (S-prf) and
 /// integrity proof (T-prf) per the paper's Figure 8a/8b convention. S-prf
@@ -132,6 +117,9 @@ class MethodEngine {
   /// Bytes of ADS + hints stored at the provider (current snapshot).
   virtual size_t storage_bytes() const = 0;
 
+  /// The provider's algosp choice (EngineOptions::provider_algorithm).
+  SpAlgorithm provider_algorithm() const { return algosp_; }
+
   /// The current published snapshot: graph, ADS, certificate and proof
   /// cache, all consistent with each other. Readers that need more than
   /// one look at engine state across a possible rotation should acquire
@@ -197,18 +185,14 @@ class MethodEngine {
   std::vector<Result<ProofBundle>> AnswerBatch(std::span<const Query> queries,
                                                size_t num_threads = 0) const;
 
-  /// Malicious-provider role; Unimplemented when the mutation does not
-  /// apply to this method, NotFound when the instance offers no opportunity
-  /// (e.g. no alternative path exists). Never consults the proof cache.
-  virtual Result<ProofBundle> TamperedAnswer(const Query& query,
-                                             TamperKind kind) const = 0;
-
-  /// Client role: full decode + verification from the wire bytes. The
+  /// Client role: VerifyWireAnswer (core/client.h) over the wire bytes
+  /// with the owner's public key. A bundle whose certificate names another
+  /// method rejects as kBadCertificate unless it is already malformed. The
   /// workspace form is the verification fast path (one VerifyWorkspace per
   /// verifying thread); the plain form wraps it with a throwaway one.
   VerifyOutcome Verify(const Query& query, const ProofBundle& bundle) const;
-  virtual VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
-                               VerifyWorkspace& ws) const = 0;
+  VerifyOutcome Verify(const Query& query, const ProofBundle& bundle,
+                       VerifyWorkspace& ws) const;
 
   /// Owner-side live maintenance: absorbs an ordered batch of update ops
   /// (re-weights and shape changes alike, core/updates.h) into ONE
@@ -285,14 +269,15 @@ class MethodEngine {
   ProofCacheStats proof_cache_stats() const;
 
  protected:
-  /// Captures the proof-cache configuration from `options` before the
-  /// derived constructor publishes the initial snapshot, so every
-  /// snapshot (the first included) is born with its cache attached —
-  /// published snapshots are never mutated, not even at setup.
-  explicit MethodEngine(const EngineOptions& options);
+  /// Captures the owner key, the provider algorithm and the proof-cache
+  /// configuration before the derived constructor publishes the initial
+  /// snapshot, so every snapshot (the first included) is born with its
+  /// cache attached — published snapshots are never mutated, not even at
+  /// setup.
+  MethodEngine(const EngineOptions& options, RsaPublicKey owner_key);
 
-  /// The uncached provider answer, served entirely from `state` (each
-  /// engine downcasts to its own derived EngineState).
+  /// The uncached provider answer, served entirely from `state` (the
+  /// engine downcasts to its method's AdsState).
   virtual Result<ProofBundle> AnswerUncached(const EngineState& state,
                                              const Query& query,
                                              SearchWorkspace& ws) const = 0;
@@ -335,6 +320,8 @@ class MethodEngine {
   void OnStateDrained(const EngineState& state) const;
 
   double construction_seconds_ = 0;
+  RsaPublicKey owner_key_;
+  SpAlgorithm algosp_;
 
   // Proof-cache configuration applied to every published snapshot.
   bool cache_enabled_ = false;

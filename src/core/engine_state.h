@@ -2,7 +2,7 @@
 //
 // A MethodEngine no longer mutates its graph/ADS/certificate in place.
 // Everything one query needs is bundled into an EngineState: the graph the
-// snapshot serves, the method ADS (held by the per-method derived state),
+// snapshot serves, the method ADS (held by the derived AdsState<Ads>),
 // the signed certificate over that ADS, and the snapshot's private proof
 // cache. Readers acquire the current snapshot with one atomic
 // shared_ptr load per query and serve entirely from it; owners build a new
@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "core/certificate.h"
 #include "graph/graph.h"
@@ -71,6 +72,14 @@ struct EngineState {
   std::shared_ptr<ProofCache<ProofBundle>> cache;
 
   virtual ~EngineState() = default;
+};
+
+/// A method's snapshot: the common state plus the method ADS, whose own
+/// certificate EngineState::certificate mirrors.
+template <typename Ads>
+struct AdsState final : EngineState {
+  explicit AdsState(Ads a) : ads(std::move(a)) {}
+  Ads ads;
 };
 
 /// A non-owning shared_ptr view of a caller-owned graph, for the initial

@@ -669,17 +669,6 @@ Result<size_t> ShardedEngine::FlushQueue(size_t queue, const RsaKeyPair& keys,
   return after.flushed_ops - before.flushed_ops;
 }
 
-std::vector<Result<uint32_t>> ShardedEngine::ApplyUpdateStream(
-    std::span<const EdgeWeightUpdate> updates, const RsaKeyPair& keys) {
-  std::vector<Result<uint32_t>> results(
-      updates.size(), Status::Internal("update not applied"));
-  for (size_t i = 0; i < updates.size(); ++i) {
-    const StructuralUpdate op = updates[i];
-    results[i] = ApplyUpdates(RouteOfUpdate(updates[i]), keys, {&op, 1});
-  }
-  return results;
-}
-
 std::vector<Result<std::shared_ptr<const ProofBundle>>>
 ShardedEngine::AnswerBatch(std::span<const Query> queries,
                            size_t num_threads) const {

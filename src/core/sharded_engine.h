@@ -286,7 +286,7 @@ class ShardedEngine {
   /// Installs a coalescing UpdateQueue (core/update_queue.h) in front of
   /// the rotation paths. Per-group mode (fleet_lock_step == false): one
   /// queue per routing group, a flush rotates that group only — the
-  /// region-partition shape, matching ApplyUpdateStream's placement.
+  /// region-partition shape, matching RouteOfUpdate's placement.
   /// Fleet-lock-step mode: ONE queue for the whole fleet, a flush drives
   /// the AllShards rotations so replicas stay byte-transparent; requires a
   /// replicated fleet (on region partitions a fleet-wide batch would apply
@@ -325,12 +325,6 @@ class ShardedEngine {
   /// The queue's own books (enqueued/rotations/lag); zero-value stats for
   /// an out-of-range index or when queues are disabled.
   UpdateQueueStats update_queue_stats(size_t queue) const;
-
-  /// Routes an owner update stream through the query router (one rotation
-  /// per update on the owning shard). The result vector is parallel to
-  /// `updates`; per-update failures surface without aborting the stream.
-  std::vector<Result<uint32_t>> ApplyUpdateStream(
-      std::span<const EdgeWeightUpdate> updates, const RsaKeyPair& keys);
 
   /// Routes and answers one query on the owning shard's zero-copy path.
   /// The workspace form reuses the caller's scratch (workspaces resize per

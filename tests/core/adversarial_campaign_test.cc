@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "adversary/tamper.h"
 #include "core/client.h"
 #include "core/core_test_context.h"
 #include "core/engine.h"
@@ -126,7 +127,7 @@ TEST(AdversarialCampaignTest, ZeroFalseAcceptsZeroFalseRejects) {
 
           // --- Stage: ADS / answer content (malicious provider). ---
           for (const TamperKind kind : kAllTamperKinds) {
-            auto forged = e.TamperedAnswer(q, kind);
+            auto forged = TamperedAnswer(e, q, kind);
             if (!forged.ok()) {
               continue;  // inapplicable method or no opportunity here
             }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "adversary/tamper.h"
 #include "core/core_test_context.h"
 #include "core/engine.h"
 #include "graph/generator.h"
@@ -90,7 +91,7 @@ TEST_P(ProofCacheTest, AllTamperKindsStillRejectWithCacheEnabled) {
       // Warm the cache with the honest answer first, as a real provider
       // under test would.
       ASSERT_TRUE(engine->Answer(q).ok());
-      auto forged = engine->TamperedAnswer(q, tamper);
+      auto forged = TamperedAnswer(*engine, q, tamper);
       if (!forged.ok()) {
         continue;
       }

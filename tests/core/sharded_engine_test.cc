@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "adversary/tamper.h"
 #include "core/client.h"
 #include "core/core_test_context.h"
 #include "core/engine.h"
@@ -279,7 +280,7 @@ TEST_P(ShardedTamperTest, WireAndAdsTampersRejectThroughEveryShard) {
     EXPECT_FALSE(client.Verify(q, truncated.bytes).outcome.accepted);
 
     // Dropped tuple: the shard engine's own malicious-provider role.
-    auto dropped = shard.TamperedAnswer(q, TamperKind::kDropTuple);
+    auto dropped = TamperedAnswer(shard, q, TamperKind::kDropTuple);
     if (dropped.ok()) {
       ++drop_attacks;
       EXPECT_FALSE(shard.Verify(q, dropped.value()).accepted);
@@ -363,9 +364,11 @@ TEST(ShardedEngineUpdateTest, UpdateStreamRoutesLikeQueries) {
               sharded->RouteOf(Query{up.u, up.v}));
     ++expected_updates[sharded->RouteOfUpdate(up)];
   }
-  auto results = sharded->ApplyUpdateStream(updates, ctx.keys);
-  ASSERT_EQ(results.size(), updates.size());
-  for (const auto& r : results) {
+  // One rotation per update on the owning group.
+  for (const EdgeWeightUpdate& up : updates) {
+    const StructuralUpdate op = up;
+    auto r = sharded->ApplyUpdates(sharded->RouteOfUpdate(up), ctx.keys,
+                                   {&op, 1});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
   const ShardedStats stats = sharded->GetStats();

@@ -4,6 +4,7 @@
 // "leave no pair behind" complement to the sampled integration tests.
 #include <gtest/gtest.h>
 
+#include "adversary/tamper.h"
 #include "core/core_test_context.h"
 #include "core/engine.h"
 #include "graph/all_pairs.h"
@@ -72,7 +73,7 @@ TEST_P(SoundnessSweepTest, SuboptimalAttacksRejectedAcrossSampledPairs) {
       continue;
     }
     auto forged =
-        engine.value()->TamperedAnswer(q, TamperKind::kSuboptimalPath);
+        TamperedAnswer(*engine.value(), q, TamperKind::kSuboptimalPath);
     if (!forged.ok()) {
       continue;  // no longer alternative for this pair
     }

@@ -4,9 +4,11 @@
 // arbitrarily truncated wire bytes (which must never crash).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "adversary/tamper.h"
 #include "core/client.h"
 #include "core/core_test_context.h"
 #include "core/engine.h"
@@ -46,7 +48,7 @@ TEST_P(VerifyFastPathTest, ReusedWorkspaceMatchesFreshOnTamperedAnswers) {
   VerifyWorkspace ws;
   for (TamperKind tamper : kAllTamperKinds) {
     for (const Query& q : ctx.queries) {
-      auto forged = engine->TamperedAnswer(q, tamper);
+      auto forged = TamperedAnswer(*engine, q, tamper);
       if (!forged.ok()) {
         continue;  // attack inapplicable or no opportunity on this query
       }
@@ -82,6 +84,37 @@ TEST(VerifyFastPathSharedTest, InterleavedMethodsShareOneWorkspace) {
       EXPECT_EQ(result.method, engine->kind());
     }
   }
+}
+
+// An engine vouches for its own method only: an honest bundle from each
+// of the other three methods must reject as kBadCertificate, even though
+// the wire verifier alone would accept it.
+TEST(VerifyFastPathSharedTest, ForeignMethodBundlesRejectAsBadCertificate) {
+  const auto& ctx = CoreTestContext::Get();
+  std::vector<std::unique_ptr<MethodEngine>> engines;
+  for (MethodKind method : kAllMethods) {
+    engines.push_back(ctx.MakeMethodEngine(method));
+  }
+  const Query q = ctx.queries[0];
+  size_t pairs = 0;
+  for (const auto& verifier : engines) {
+    for (const auto& provider : engines) {
+      if (provider == verifier) {
+        continue;
+      }
+      auto bundle = provider->Answer(q);
+      ASSERT_TRUE(bundle.ok());
+      ASSERT_TRUE(provider->Verify(q, bundle.value()).accepted);
+      const VerifyOutcome outcome = verifier->Verify(q, bundle.value());
+      EXPECT_FALSE(outcome.accepted)
+          << provider->name() << " bundle on " << verifier->name();
+      EXPECT_EQ(outcome.failure, VerifyFailure::kBadCertificate)
+          << provider->name() << " bundle on " << verifier->name() << ": "
+          << outcome.ToString();
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 12u);
 }
 
 // Satellite: every prefix of a valid wire message must yield an outcome-
