@@ -4,6 +4,7 @@
 #include <atomic>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/forest_certificate.h"
 #include "core/method_traits.h"
@@ -123,6 +124,34 @@ void DispatchAnswerVerify(const RsaPublicKey& owner_key, const Query& query,
     out->distance = answer.distance;
     out->outcome = M::Verify(owner_key, ws.cert, query, answer, ws);
   });
+}
+
+/// Runs `verify_one(i, ws)` for every message in shard-major order: message
+/// indices are grouped by serving shard (groups keep stream order) and one
+/// worker drains one shard's certificate stream hot. Shard groups are the
+/// unit of work, so there are never more workers than groups. Shard ids
+/// are remapped densely rather than used as array indices, so a corrupt or
+/// hostile id cannot size an allocation.
+template <typename VerifyOne>
+void VerifyShardMajor(std::span<const uint32_t> shard_of, size_t num_threads,
+                      const VerifyOne& verify_one) {
+  std::unordered_map<uint32_t, size_t> group_of;
+  std::vector<std::vector<size_t>> groups;
+  for (size_t i = 0; i < shard_of.size(); ++i) {
+    const auto [it, inserted] =
+        group_of.try_emplace(shard_of[i], groups.size());
+    if (inserted) {
+      groups.emplace_back();
+    }
+    groups[it->second].push_back(i);
+  }
+  ParallelFor(
+      groups.size(), num_threads, [] { return VerifyWorkspace{}; },
+      [&](size_t g, VerifyWorkspace& ws) {
+        for (size_t i : groups[g]) {
+          verify_one(i, ws);
+        }
+      });
 }
 
 }  // namespace
@@ -251,36 +280,13 @@ std::vector<WireVerification> Client::VerifyBatch(
     }
     return results;
   }
-  if (queries.empty()) {
-    return results;
-  }
-  if (num_threads == 0) {
-    num_threads = ThreadPool::DefaultThreads(queries.size());
-  }
-  num_threads = std::min(num_threads, queries.size());
-  if (num_threads <= 1) {
-    VerifyWorkspace ws;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      VerifyWireAnswer(owner_key_, queries[i], wire_messages[i], ws,
-                       &results[i]);
-      ApplyWatermark(0, &results[i]);
-    }
-    return results;
-  }
-  ThreadPool pool(num_threads);
-  std::atomic<size_t> next{0};
-  for (size_t w = 0; w < num_threads; ++w) {
-    pool.Submit([this, &queries, &wire_messages, &results, &next] {
-      VerifyWorkspace ws;  // per-worker scratch, hot for the whole stream
-      for (size_t i = next.fetch_add(1); i < queries.size();
-           i = next.fetch_add(1)) {
+  ParallelFor(
+      queries.size(), num_threads, [] { return VerifyWorkspace{}; },
+      [&](size_t i, VerifyWorkspace& ws) {
         VerifyWireAnswer(owner_key_, queries[i], wire_messages[i], ws,
                          &results[i]);
         ApplyWatermark(0, &results[i]);
-      }
-    });
-  }
-  pool.Wait();
+      });
   return results;
 }
 
@@ -314,26 +320,7 @@ std::vector<WireVerification> Client::VerifyShardedBatch(
     }
     return results;
   }
-  if (queries.empty()) {
-    return results;
-  }
-
-  // Group message indices by serving shard; groups preserve stream order.
-  // Shard ids are remapped densely rather than used as array indices, so a
-  // corrupt or hostile id cannot size an allocation.
-  std::unordered_map<uint32_t, size_t> group_of;
-  std::vector<std::vector<size_t>> groups;
-  for (size_t i = 0; i < shard_of.size(); ++i) {
-    const auto [it, inserted] =
-        group_of.try_emplace(shard_of[i], groups.size());
-    if (inserted) {
-      groups.emplace_back();
-    }
-    groups[it->second].push_back(i);
-  }
-
-  auto verify_one = [this, &queries, &bundles, &shard_of, &results](
-                        size_t i, VerifyWorkspace& ws) {
+  VerifyShardMajor(shard_of, num_threads, [&](size_t i, VerifyWorkspace& ws) {
     if (bundles[i] == nullptr) {
       results[i].outcome = VerifyOutcome::Reject(
           VerifyFailure::kMalformedProof, "missing bundle for query");
@@ -342,37 +329,7 @@ std::vector<WireVerification> Client::VerifyShardedBatch(
     VerifyWireAnswer(owner_key_, queries[i], bundles[i]->bytes, ws,
                      &results[i]);
     ApplyWatermark(shard_of[i], &results[i]);
-  };
-
-  if (num_threads == 0) {
-    num_threads = ThreadPool::DefaultThreads(queries.size());
-  }
-  // Shard groups are the unit of work (that is the point: one worker, one
-  // shard's certificate stream), so more workers than groups is waste.
-  num_threads = std::min(num_threads, groups.size());
-  if (num_threads <= 1) {
-    VerifyWorkspace ws;
-    for (const std::vector<size_t>& group : groups) {
-      for (size_t i : group) {
-        verify_one(i, ws);
-      }
-    }
-    return results;
-  }
-  ThreadPool pool(num_threads);
-  std::atomic<size_t> next_group{0};
-  for (size_t w = 0; w < num_threads; ++w) {
-    pool.Submit([&groups, &next_group, &verify_one] {
-      VerifyWorkspace ws;  // per-worker scratch, hot for the whole stream
-      for (size_t g = next_group.fetch_add(1); g < groups.size();
-           g = next_group.fetch_add(1)) {
-        for (size_t i : groups[g]) {
-          verify_one(i, ws);
-        }
-      }
-    });
-  }
-  pool.Wait();
+  });
   return results;
 }
 
@@ -391,9 +348,6 @@ std::vector<WireVerification> Client::VerifyShardedBatchForest(
     }
     return results;
   }
-  if (queries.empty()) {
-    return results;
-  }
   if (forest_ == nullptr) {
     for (WireVerification& r : results) {
       r.outcome = VerifyOutcome::Reject(
@@ -404,21 +358,7 @@ std::vector<WireVerification> Client::VerifyShardedBatchForest(
   }
   const ForestCertificate& forest = *forest_;
 
-  // Same shard-major work order as VerifyShardedBatch, for the same
-  // reason: one worker drains one shard's certificate stream hot.
-  std::unordered_map<uint32_t, size_t> group_of;
-  std::vector<std::vector<size_t>> groups;
-  for (size_t i = 0; i < shard_of.size(); ++i) {
-    const auto [it, inserted] =
-        group_of.try_emplace(shard_of[i], groups.size());
-    if (inserted) {
-      groups.emplace_back();
-    }
-    groups[it->second].push_back(i);
-  }
-
-  auto verify_one = [this, &forest, &queries, &bundles, &path_of, &shard_of,
-                     &results](size_t i, VerifyWorkspace& ws) {
+  VerifyShardMajor(shard_of, num_threads, [&](size_t i, VerifyWorkspace& ws) {
     if (bundles[i] == nullptr) {
       results[i].outcome = VerifyOutcome::Reject(
           VerifyFailure::kMalformedProof, "missing bundle for query");
@@ -427,35 +367,7 @@ std::vector<WireVerification> Client::VerifyShardedBatchForest(
     VerifyWireAnswer(owner_key_, forest, shard_of[i], queries[i],
                      bundles[i]->bytes, path_of[i], ws, &results[i]);
     ApplyWatermark(shard_of[i], &results[i]);
-  };
-
-  if (num_threads == 0) {
-    num_threads = ThreadPool::DefaultThreads(queries.size());
-  }
-  num_threads = std::min(num_threads, groups.size());
-  if (num_threads <= 1) {
-    VerifyWorkspace ws;
-    for (const std::vector<size_t>& group : groups) {
-      for (size_t i : group) {
-        verify_one(i, ws);
-      }
-    }
-    return results;
-  }
-  ThreadPool pool(num_threads);
-  std::atomic<size_t> next_group{0};
-  for (size_t w = 0; w < num_threads; ++w) {
-    pool.Submit([&groups, &next_group, &verify_one] {
-      VerifyWorkspace ws;  // per-worker scratch, hot for the whole stream
-      for (size_t g = next_group.fetch_add(1); g < groups.size();
-           g = next_group.fetch_add(1)) {
-        for (size_t i : groups[g]) {
-          verify_one(i, ws);
-        }
-      }
-    });
-  }
-  pool.Wait();
+  });
   return results;
 }
 

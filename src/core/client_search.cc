@@ -8,43 +8,16 @@
 
 namespace spauth {
 
-namespace {
+// The searches keep all distance state in the caller's SearchLane/heap
+// (borrowed from a SearchWorkspace), so the hot path never allocates.
 
-const ExtendedTuple* FindTuple(const TupleIndex& tuples, NodeId v) {
-  auto it = tuples.find(v);
-  return it == tuples.end() ? nullptr : it->second;
-}
-
-const ExtendedTuple* FindTuple(const TupleLane& tuples, NodeId v) {
-  return tuples.Find(v);
-}
-
-// Id bound for the map wrappers: every node the search may stamp in a lane
-// (endpoints, tuple ids, and all adjacency targets). The lane overloads get
-// this bound from the certified node count instead.
-size_t MapIdBound(const TupleIndex& tuples, NodeId source, NodeId target) {
-  size_t bound = std::max<size_t>(source, target);
-  for (const auto& [id, tuple] : tuples) {
-    bound = std::max<size_t>(bound, id);
-    for (const NeighborEntry& e : tuple->neighbors) {
-      bound = std::max<size_t>(bound, e.id);
-    }
-  }
-  return bound + 1;
-}
-
-// The shared search bodies are templated on the index type so the map
-// signatures and the TupleLane fast path run literally the same code —
-// outcomes are identical by construction. All distance state lives in the
-// caller's SearchLane/heap, so the hot path never allocates.
-
-template <typename Index>
-SubgraphSearchOutcome DijkstraOverTuplesImpl(const Index& tuples,
-                                             NodeId source, NodeId target,
-                                             double claimed_distance,
-                                             size_t num_nodes,
-                                             SearchLane& best,
-                                             FourAryHeap<DistHeapEntry>& heap) {
+SubgraphSearchOutcome DijkstraOverTuples(const TupleLane& tuples,
+                                         NodeId source, NodeId target,
+                                         double claimed_distance,
+                                         SearchWorkspace& ws) {
+  const size_t num_nodes = tuples.num_nodes();
+  SearchLane& best = ws.forward;
+  FourAryHeap<DistHeapEntry>& heap = ws.heap;
   SubgraphSearchOutcome out;
   const double slack = VerifySlack(claimed_distance);
   best.Prepare(num_nodes);
@@ -84,7 +57,7 @@ SubgraphSearchOutcome DijkstraOverTuplesImpl(const Index& tuples,
       out.distance = d;
       return out;
     }
-    const ExtendedTuple* tuple = FindTuple(tuples, u);
+    const ExtendedTuple* tuple = tuples.Find(u);
     if (tuple == nullptr) {
       if (d <= claimed_distance - slack) {
         out.code = SubgraphSearchOutcome::Code::kMissingTuple;
@@ -118,11 +91,12 @@ SubgraphSearchOutcome DijkstraOverTuplesImpl(const Index& tuples,
   return out;
 }
 
+namespace {
+
 /// Resolves the (codes, epsilon) pair used by the Lemma-4 bound for node v.
 /// Returns false if landmark data or the representative is missing; sets
 /// *missing to the offending node.
-template <typename Index>
-bool ResolveLandmark(const Index& tuples, const ExtendedTuple& t,
+bool ResolveLandmark(const TupleLane& tuples, const ExtendedTuple& t,
                      std::span<const uint16_t>* codes, double* eps,
                      NodeId* missing, bool* bad_data) {
   if (!t.has_landmark_data) {
@@ -135,7 +109,7 @@ bool ResolveLandmark(const Index& tuples, const ExtendedTuple& t,
     *eps = 0;
     return true;
   }
-  const ExtendedTuple* rep = FindTuple(tuples, t.ref_node);
+  const ExtendedTuple* rep = tuples.Find(t.ref_node);
   if (rep == nullptr) {
     *missing = t.ref_node;
     *bad_data = false;
@@ -151,18 +125,19 @@ bool ResolveLandmark(const Index& tuples, const ExtendedTuple& t,
   return true;
 }
 
-template <typename Index>
-SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
-                                          NodeId target,
-                                          double claimed_distance,
-                                          double lambda, size_t num_nodes,
-                                          SearchLane& best,
-                                          FourAryHeap<AStarHeapEntry>& heap) {
+}  // namespace
+
+SubgraphSearchOutcome AStarOverTuples(const TupleLane& tuples, NodeId source,
+                                      NodeId target, double claimed_distance,
+                                      double lambda, SearchWorkspace& ws) {
+  const size_t num_nodes = tuples.num_nodes();
+  SearchLane& best = ws.forward;
+  FourAryHeap<AStarHeapEntry>& heap = ws.astar_heap;
   SubgraphSearchOutcome out;
   const double slack = VerifySlack(claimed_distance);
 
   // Resolve the target's vector once; h(v) needs it for every node.
-  const ExtendedTuple* target_tuple = FindTuple(tuples, target);
+  const ExtendedTuple* target_tuple = tuples.Find(target);
   if (target_tuple == nullptr) {
     out.code = SubgraphSearchOutcome::Code::kMissingTuple;
     out.node = target;
@@ -197,7 +172,7 @@ SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
     return true;
   };
 
-  const ExtendedTuple* source_tuple = FindTuple(tuples, source);
+  const ExtendedTuple* source_tuple = tuples.Find(source);
   if (source_tuple == nullptr) {
     out.code = SubgraphSearchOutcome::Code::kMissingTuple;
     out.node = source;
@@ -212,7 +187,7 @@ SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
   }
 
   // A tupled source/target is inside the certified id range by definition
-  // of the lane (and of the wrapper's bound), so lane writes are safe.
+  // of the lane, so lane writes are safe.
   best.Prepare(num_nodes);
   heap.Clear();
   best.Relax(source, 0, kInvalidNode);
@@ -233,7 +208,7 @@ SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
       out.distance = g;
       return out;
     }
-    const ExtendedTuple* tuple = FindTuple(tuples, u);
+    const ExtendedTuple* tuple = tuples.Find(u);
     if (tuple == nullptr) {
       if (f <= claimed_distance - slack) {
         out.code = SubgraphSearchOutcome::Code::kMissingTuple;
@@ -247,7 +222,7 @@ SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
     for (const NeighborEntry& e : tuple->neighbors) {
       const double ng = g + e.weight;
       if (e.id >= num_nodes) {
-        // See DijkstraOverTuplesImpl: unreachable for authenticated
+        // See DijkstraOverTuples: unreachable for authenticated
         // tuples, reject-biased otherwise.
         if (ng <= claimed_distance - slack) {
           out.code = SubgraphSearchOutcome::Code::kMissingTuple;
@@ -260,7 +235,7 @@ SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
         continue;
       }
       best.Relax(e.id, ng, u);
-      const ExtendedTuple* nt = FindTuple(tuples, e.id);
+      const ExtendedTuple* nt = tuples.Find(e.id);
       if (nt == nullptr) {
         // Lemma 2 includes every neighbor of the search space; absence is
         // only acceptable for nodes the search could never expand anyway.
@@ -285,15 +260,15 @@ SubgraphSearchOutcome AStarOverTuplesImpl(const Index& tuples, NodeId source,
   return out;
 }
 
-template <typename Index>
-void InCellDijkstraOverTuplesImpl(const Index& tuples, NodeId source,
-                                  uint32_t cell, size_t num_nodes,
-                                  SearchLane& dist,
-                                  FourAryHeap<DistHeapEntry>& heap,
-                                  std::vector<NodeId>* reached) {
-  dist.Prepare(num_nodes);
+void InCellDijkstraOverTuples(const TupleLane& tuples, NodeId source,
+                              uint32_t cell, SearchLane* dist_lane,
+                              FourAryHeap<DistHeapEntry>* heap_ptr,
+                              std::vector<NodeId>* reached) {
+  SearchLane& dist = *dist_lane;
+  FourAryHeap<DistHeapEntry>& heap = *heap_ptr;
+  dist.Prepare(tuples.num_nodes());
   heap.Clear();
-  const ExtendedTuple* source_tuple = FindTuple(tuples, source);
+  const ExtendedTuple* source_tuple = tuples.Find(source);
   if (source_tuple == nullptr || !source_tuple->has_cell_data ||
       source_tuple->cell != cell) {
     return;
@@ -310,14 +285,14 @@ void InCellDijkstraOverTuplesImpl(const Index& tuples, NodeId source,
     if (d > dist.Dist(u)) {
       continue;
     }
-    const ExtendedTuple* tuple = FindTuple(tuples, u);
+    const ExtendedTuple* tuple = tuples.Find(u);
     // A tuple absent or outside the cell contributes no edges; cell
     // completeness is checked separately against the certificate counts.
     if (tuple == nullptr || !tuple->has_cell_data || tuple->cell != cell) {
       continue;
     }
     for (const NeighborEntry& e : tuple->neighbors) {
-      const ExtendedTuple* nt = FindTuple(tuples, e.id);
+      const ExtendedTuple* nt = tuples.Find(e.id);
       if (nt == nullptr || !nt->has_cell_data || nt->cell != cell) {
         continue;  // out-of-cell edge
       }
@@ -333,11 +308,11 @@ void InCellDijkstraOverTuplesImpl(const Index& tuples, NodeId source,
   }
 }
 
-template <typename Index>
-VerifyOutcome CheckPathAgainstTuplesImpl(const Index& tuples,
-                                         const Query& query, const Path& path,
-                                         double claimed_distance,
-                                         std::vector<NodeId>& scratch) {
+VerifyOutcome CheckPathAgainstTuples(const TupleLane& tuples,
+                                     const Query& query, const Path& path,
+                                     double claimed_distance,
+                                     std::vector<NodeId>* scratch_ptr) {
+  std::vector<NodeId>& scratch = *scratch_ptr;
   if (path.empty() || path.source() != query.source ||
       path.target() != query.target) {
     return VerifyOutcome::Reject(VerifyFailure::kInvalidPath,
@@ -351,7 +326,7 @@ VerifyOutcome CheckPathAgainstTuplesImpl(const Index& tuples,
   }
   double total = 0;
   for (size_t i = 1; i < path.nodes.size(); ++i) {
-    const ExtendedTuple* tuple = FindTuple(tuples, path.nodes[i - 1]);
+    const ExtendedTuple* tuple = tuples.Find(path.nodes[i - 1]);
     if (tuple == nullptr) {
       return VerifyOutcome::Reject(VerifyFailure::kInvalidPath,
                                    "path node has no authenticated tuple");
@@ -363,7 +338,7 @@ VerifyOutcome CheckPathAgainstTuplesImpl(const Index& tuples,
     }
     total += w.value();
   }
-  if (FindTuple(tuples, path.target()) == nullptr) {
+  if (tuples.Find(path.target()) == nullptr) {
     return VerifyOutcome::Reject(VerifyFailure::kInvalidPath,
                                  "path target has no authenticated tuple");
   }
@@ -373,82 +348,6 @@ VerifyOutcome CheckPathAgainstTuplesImpl(const Index& tuples,
         "path length does not equal the claimed distance");
   }
   return VerifyOutcome::Accept();
-}
-
-}  // namespace
-
-SubgraphSearchOutcome DijkstraOverTuples(const TupleIndex& tuples,
-                                         NodeId source, NodeId target,
-                                         double claimed_distance) {
-  SearchLane best;
-  FourAryHeap<DistHeapEntry> heap;
-  return DijkstraOverTuplesImpl(tuples, source, target, claimed_distance,
-                                MapIdBound(tuples, source, target), best,
-                                heap);
-}
-
-SubgraphSearchOutcome DijkstraOverTuples(const TupleLane& tuples,
-                                         NodeId source, NodeId target,
-                                         double claimed_distance,
-                                         SearchWorkspace& ws) {
-  return DijkstraOverTuplesImpl(tuples, source, target, claimed_distance,
-                                tuples.num_nodes(), ws.forward, ws.heap);
-}
-
-SubgraphSearchOutcome AStarOverTuples(const TupleIndex& tuples, NodeId source,
-                                      NodeId target, double claimed_distance,
-                                      double lambda) {
-  SearchLane best;
-  FourAryHeap<AStarHeapEntry> heap;
-  return AStarOverTuplesImpl(tuples, source, target, claimed_distance, lambda,
-                             MapIdBound(tuples, source, target), best, heap);
-}
-
-SubgraphSearchOutcome AStarOverTuples(const TupleLane& tuples, NodeId source,
-                                      NodeId target, double claimed_distance,
-                                      double lambda, SearchWorkspace& ws) {
-  return AStarOverTuplesImpl(tuples, source, target, claimed_distance, lambda,
-                             tuples.num_nodes(), ws.forward, ws.astar_heap);
-}
-
-std::unordered_map<NodeId, double> InCellDijkstraOverTuples(
-    const TupleIndex& tuples, NodeId source, uint32_t cell) {
-  SearchLane lane;
-  FourAryHeap<DistHeapEntry> heap;
-  std::vector<NodeId> reached;
-  InCellDijkstraOverTuplesImpl(tuples, source, cell,
-                               MapIdBound(tuples, source, source), lane, heap,
-                               &reached);
-  std::unordered_map<NodeId, double> dist;
-  dist.reserve(reached.size());
-  for (NodeId v : reached) {
-    dist[v] = lane.Dist(v);
-  }
-  return dist;
-}
-
-void InCellDijkstraOverTuples(const TupleLane& tuples, NodeId source,
-                              uint32_t cell, SearchLane* dist,
-                              FourAryHeap<DistHeapEntry>* heap,
-                              std::vector<NodeId>* reached) {
-  InCellDijkstraOverTuplesImpl(tuples, source, cell, tuples.num_nodes(),
-                               *dist, *heap, reached);
-}
-
-VerifyOutcome CheckPathAgainstTuples(const TupleIndex& tuples,
-                                     const Query& query, const Path& path,
-                                     double claimed_distance) {
-  std::vector<NodeId> scratch;
-  return CheckPathAgainstTuplesImpl(tuples, query, path, claimed_distance,
-                                    scratch);
-}
-
-VerifyOutcome CheckPathAgainstTuples(const TupleLane& tuples,
-                                     const Query& query, const Path& path,
-                                     double claimed_distance,
-                                     std::vector<NodeId>* scratch) {
-  return CheckPathAgainstTuplesImpl(tuples, query, path, claimed_distance,
-                                    *scratch);
 }
 
 }  // namespace spauth

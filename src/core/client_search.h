@@ -1,13 +1,12 @@
 // Client-side re-execution of shortest path search over *authenticated
 // tuples only* — the heart of subgraph-proof verification. The client has
-// no access to the graph; its entire world is the tuple map decoded from
-// Gamma_S. The searches here mirror Dijkstra / A* but additionally detect
+// no access to the graph; its entire world is the tuple set decoded from
+// Gamma_S, indexed by a TupleLane. The searches here mirror Dijkstra / A* but additionally detect
 // when the proof is missing a tuple the search needs (the tuple-drop attack
 // of Section IV-A).
 #ifndef SPAUTH_CORE_CLIENT_SEARCH_H_
 #define SPAUTH_CORE_CLIENT_SEARCH_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "core/verify_outcome.h"
@@ -19,11 +18,9 @@
 
 namespace spauth {
 
-using TupleIndex = std::unordered_map<NodeId, const ExtendedTuple*>;
-
-/// Generation-stamped node-id -> tuple-pointer index for the verification
-/// fast path. The certified node count (MethodParams::num_network_leaves)
-/// bounds every genuine tuple id, so a flat array replaces the hash map;
+/// Generation-stamped node-id -> tuple-pointer index over a decoded tuple
+/// set. The certified node count (MethodParams::num_network_leaves) bounds
+/// every genuine tuple id, so a flat array serves as the index;
 /// Prepare() invalidates in O(1) and the slot arrays keep their capacity,
 /// so a hot verifier indexes proof after proof without allocating.
 /// Single-threaded; one per VerifyWorkspace.
@@ -87,48 +84,32 @@ struct SubgraphSearchOutcome {
   size_t settled = 0;
 };
 
-/// Dijkstra over the tuple map (DIJ verification, Section IV-A). Expands
-/// every node whose key is within `claimed_distance` (+ slack); a missing
-/// tuple at key <= claimed - slack is a hard failure, missing tuples in the
-/// boundary band are tolerated. Stops as soon as the target settles.
-SubgraphSearchOutcome DijkstraOverTuples(const TupleIndex& tuples,
-                                         NodeId source, NodeId target,
-                                         double claimed_distance);
-
-/// Fast path: the same search over a prepared TupleLane, with the distance
-/// lane and heap borrowed from `ws` (forward lane + dist heap) so a hot
-/// verifier searches without allocating. The map overload is a thin
-/// wrapper, so outcomes are identical by construction.
+/// Dijkstra over the tuples (DIJ verification, Section IV-A). Expands every
+/// node whose key is within `claimed_distance` (+ slack); a missing tuple
+/// at key <= claimed - slack is a hard failure, missing tuples in the
+/// boundary band are tolerated. Stops as soon as the target settles. The
+/// distance lane and heap are borrowed from `ws` (forward lane + dist heap)
+/// so a hot verifier searches without allocating.
 SubgraphSearchOutcome DijkstraOverTuples(const TupleLane& tuples,
                                          NodeId source, NodeId target,
                                          double claimed_distance,
                                          SearchWorkspace& ws);
 
-/// A* over the tuple map with the compressed-quantized landmark bound of
+/// A* over the tuples with the compressed-quantized landmark bound of
 /// Lemmas 3-4 (LDM verification, Section V-A). `lambda` comes from the
 /// certificate. Re-expands on shorter g, so the inconsistent loose bound is
 /// safe. Requires every touched tuple to carry landmark data and every
-/// referenced representative to be present with its code vector.
-SubgraphSearchOutcome AStarOverTuples(const TupleIndex& tuples, NodeId source,
-                                      NodeId target, double claimed_distance,
-                                      double lambda);
-
-/// Fast path over a TupleLane (forward lane + A* heap from `ws`); the map
-/// overload is a thin wrapper.
+/// referenced representative to be present with its code vector. Uses the
+/// forward lane and A* heap of `ws`.
 SubgraphSearchOutcome AStarOverTuples(const TupleLane& tuples, NodeId source,
                                       NodeId target, double claimed_distance,
                                       double lambda, SearchWorkspace& ws);
 
 /// Dijkstra from `source` restricted to edges whose endpoints both carry
-/// tuples in cell `cell` (HYP verification, Section V-B). Returns the
-/// in-cell distance for every reached node of the cell.
-std::unordered_map<NodeId, double> InCellDijkstraOverTuples(
-    const TupleIndex& tuples, NodeId source, uint32_t cell);
-
-/// Fast path: writes the in-cell distances into `dist` (prepared for the
-/// lane's node count; unreached nodes read kInfDistance) using `heap` as
-/// scratch. When `reached` is non-null the settled nodes are appended to
-/// it. The map overload is a thin wrapper.
+/// tuples in cell `cell` (HYP verification, Section V-B). Writes the
+/// in-cell distances into `dist` (prepared for the lane's node count;
+/// unreached nodes read kInfDistance) using `heap` as scratch. When
+/// `reached` is non-null the settled nodes are appended to it.
 void InCellDijkstraOverTuples(const TupleLane& tuples, NodeId source,
                               uint32_t cell, SearchLane* dist,
                               FourAryHeap<DistHeapEntry>* heap,
@@ -137,13 +118,7 @@ void InCellDijkstraOverTuples(const TupleLane& tuples, NodeId source,
 /// Shared by all methods: checks the reported path against the
 /// authenticated tuples — endpoints match the query, no repeated nodes,
 /// every hop is an authenticated edge, and the weights sum to the claimed
-/// distance.
-VerifyOutcome CheckPathAgainstTuples(const TupleIndex& tuples,
-                                     const Query& query, const Path& path,
-                                     double claimed_distance);
-
-/// Fast path over a TupleLane; `scratch` holds the repeated-node check's
-/// sort buffer. The map overload is a thin wrapper.
+/// distance. `scratch` holds the repeated-node check's sort buffer.
 VerifyOutcome CheckPathAgainstTuples(const TupleLane& tuples,
                                      const Query& query, const Path& path,
                                      double claimed_distance,

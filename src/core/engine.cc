@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <utility>
 
 #include "core/client.h"
 #include "core/method_traits.h"
@@ -60,16 +61,12 @@ void MethodEngine::PublishState(std::unique_ptr<EngineState> state) {
 
 void MethodEngine::OnStateDrained(const EngineState& state) const {
   if (state.cache != nullptr) {
-    const ProofCacheStats s = state.cache->GetStats();
-    std::lock_guard<std::mutex> lock(retired_mu_);
-    retired_.hits += s.hits;
-    retired_.misses += s.misses;
-    retired_.insertions += s.insertions;
-    retired_.evictions += s.evictions;
+    ProofCacheStats s = state.cache->GetStats();
     // Rotation retired the resident entries wholesale; account them as
     // cleared so the books conserve across snapshot lifetimes.
-    retired_.cleared += s.cleared + s.entries;
-    retired_.hit_bytes += s.hit_bytes;
+    s.cleared += std::exchange(s.entries, 0);
+    std::lock_guard<std::mutex> lock(retired_mu_);
+    MergeStats(retired_, s);
   }
   live_states_.fetch_sub(1, std::memory_order_acq_rel);
 }
@@ -102,14 +99,7 @@ ProofCacheStats MethodEngine::proof_cache_stats() const {
   }
   const std::shared_ptr<const EngineState> state = CurrentState();
   if (state->cache != nullptr) {
-    const ProofCacheStats live = state->cache->GetStats();
-    stats.hits += live.hits;
-    stats.misses += live.misses;
-    stats.insertions += live.insertions;
-    stats.evictions += live.evictions;
-    stats.cleared += live.cleared;
-    stats.hit_bytes += live.hit_bytes;
-    stats.entries += live.entries;
+    MergeStats(stats, state->cache->GetStats());
   }
   return stats;
 }
@@ -217,36 +207,16 @@ std::vector<Result<ProofBundle>> MethodEngine::AnswerBatch(
     std::span<const Query> queries, size_t num_threads) const {
   std::vector<Result<ProofBundle>> results(
       queries.size(), Status::Internal("query not answered"));
-  if (queries.empty()) {
-    return results;
-  }
-  if (num_threads == 0) {
-    num_threads = ThreadPool::DefaultThreads(queries.size());
-  }
-  num_threads = std::min(num_threads, queries.size());
-  if (num_threads <= 1) {
-    SearchWorkspace ws;
-    std::shared_ptr<const EngineState> snap;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      slot_.Refresh(&snap);  // one acquire load unless a rotation landed
-      results[i] = AnswerOn(*snap, queries[i], ws);
-    }
-    return results;
-  }
-  ThreadPool pool(num_threads);
-  std::atomic<size_t> next{0};
-  for (size_t w = 0; w < num_threads; ++w) {
-    pool.Submit([this, &queries, &results, &next] {
-      SearchWorkspace ws;  // per-worker scratch, hot for the whole stream
-      std::shared_ptr<const EngineState> snap;  // per-worker snapshot pin
-      for (size_t i = next.fetch_add(1); i < queries.size();
-           i = next.fetch_add(1)) {
-        slot_.Refresh(&snap);
-        results[i] = AnswerOn(*snap, queries[i], ws);
-      }
-    });
-  }
-  pool.Wait();
+  struct Worker {
+    SearchWorkspace ws;  // per-worker scratch, hot for the whole stream
+    std::shared_ptr<const EngineState> snap;  // per-worker snapshot pin
+  };
+  ParallelFor(
+      queries.size(), num_threads, [] { return Worker{}; },
+      [&](size_t i, Worker& w) {
+        slot_.Refresh(&w.snap);  // one acquire load unless a rotation landed
+        results[i] = AnswerOn(*w.snap, queries[i], w.ws);
+      });
   return results;
 }
 

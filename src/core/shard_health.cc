@@ -14,6 +14,18 @@ const char* ToString(BreakerState state) {
   return "?";
 }
 
+int StatSeverity(BreakerState state) {
+  switch (state) {
+    case BreakerState::kOpen:
+      return 2;
+    case BreakerState::kHalfOpen:
+      return 1;
+    case BreakerState::kClosed:
+      return 0;
+  }
+  return 0;
+}
+
 ShardHealth::ShardHealth(CircuitBreakerOptions options)
     : options_(options), window_(options_.window == 0 ? 1 : options_.window) {}
 

@@ -49,6 +49,11 @@ enum class BreakerState : uint8_t {
 
 const char* ToString(BreakerState state);
 
+/// Severity order for aggregation (StatAgg::kMostSevere): open (denying) >
+/// half-open (probing) > closed (healthy). The enum's numeric order
+/// differs, so a plain max would be wrong.
+int StatSeverity(BreakerState state);
+
 /// One shard's health. Thread-safe; every method is a short critical
 /// section (the serving path calls AllowRequest once per attempt).
 class ShardHealth {

@@ -16,30 +16,39 @@ namespace spauth {
 
 namespace {
 
-// Relaxed high-water update for gauge counters (worst lag observed).
-void AtomicMax(std::atomic<uint64_t>& slot, uint64_t value) {
-  uint64_t cur = slot.load(std::memory_order_relaxed);
-  while (cur < value &&
-         !slot.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+// Fleet repair, written once: finds the engine holding the newest
+// certificate version in `engines` (the first one on ties), then runs
+// `adopt(i, source)` for every engine i that lags it, in index order. The
+// step adopts the source's snapshot, wrapped in the caller's fail point and
+// books. Adopting the newest snapshot never invents state: it replays the
+// newest publish the owner actually produced. The first failed step aborts
+// the walk. Returns the number of engines rolled forward.
+template <typename Engines, typename Adopt>
+Result<size_t> RollLaggardsForward(const Engines& engines, const Adopt& adopt) {
+  if (engines.empty()) {
+    return size_t{0};
   }
-}
-
-// Severity order for the totals gauge: open (denying) > half-open
-// (probing) > closed (healthy). The enum's numeric order differs, so this
-// cannot be a plain max.
-BreakerState MoreSevere(BreakerState a, BreakerState b) {
-  const auto rank = [](BreakerState s) {
-    switch (s) {
-      case BreakerState::kOpen:
-        return 2;
-      case BreakerState::kHalfOpen:
-        return 1;
-      case BreakerState::kClosed:
-        return 0;
-    }
-    return 0;
+  const auto version = [&](size_t i) {
+    return engines[i]->CurrentState()->certificate.params.version;
   };
-  return rank(a) >= rank(b) ? a : b;
+  size_t source = 0;
+  uint32_t source_version = version(0);
+  for (size_t i = 1; i < engines.size(); ++i) {
+    const uint32_t v = version(i);
+    if (v > source_version) {
+      source = i;
+      source_version = v;
+    }
+  }
+  size_t rolled = 0;
+  for (size_t i = 0; i < engines.size(); ++i) {
+    if (i == source || version(i) >= source_version) {
+      continue;  // already in lock-step
+    }
+    SPAUTH_RETURN_IF_ERROR(adopt(i, *engines[source]));
+    ++rolled;
+  }
+  return rolled;
 }
 
 }  // namespace
@@ -68,7 +77,7 @@ ShardedEngine::ShardedEngine(std::vector<std::unique_ptr<MethodEngine>> shards,
       router_(std::move(router)),
       failover_(failover),
       num_groups_(shards_.size() / failover_.replicas_per_group),
-      counters_(std::make_unique<Counters[]>(shards_.size())) {
+      live_(std::make_unique<LiveCounters[]>(shards_.size())) {
   if (failover_.enable_breakers) {
     health_.reserve(shards_.size());
     for (size_t i = 0; i < shards_.size(); ++i) {
@@ -203,8 +212,7 @@ Result<std::shared_ptr<const ProofBundle>> ShardedEngine::AnswerPinned(
       // last_engine may be a spill target in another group (or, on an
       // attempt-0 expiry, a replica that never served an attempt), and
       // charging the budget miss there skews the foreign group's counters.
-      counters_[base + preferred].deadline_exceeded.fetch_add(
-          1, std::memory_order_relaxed);
+      StatAdd(live_[base + preferred].books.deadline_exceeded);
       break;
     }
     // Next admitted replica from the cursor; open breakers are skipped,
@@ -222,8 +230,7 @@ Result<std::shared_ptr<const ProofBundle>> ShardedEngine::AnswerPinned(
         const size_t replica = (cursor + k) % replicas;
         const size_t engine = scan_base + replica;
         if (!health_.empty() && !health_[engine]->AllowRequest()) {
-          counters_[engine].breaker_skips.fetch_add(1,
-                                                    std::memory_order_relaxed);
+          StatAdd(live_[engine].books.breaker_skips);
           continue;
         }
         chosen = replica;
@@ -238,16 +245,15 @@ Result<std::shared_ptr<const ProofBundle>> ShardedEngine::AnswerPinned(
     const size_t engine = chosen_base + chosen;
     last_engine = engine;
     if (attempt > 0) {
-      counters_[engine].retries.fetch_add(1, std::memory_order_relaxed);
+      StatAdd(live_[engine].books.retries);
     }
     result = AttemptOnEngine(engine, query, ws, snaps);
     if (result.ok()) {
       if (attempt > 0) {
-        counters_[engine].failovers.fetch_add(1, std::memory_order_relaxed);
+        StatAdd(live_[engine].books.failovers);
       }
       if (engine / replicas != group) {
-        counters_[engine].cross_group_serves.fetch_add(
-            1, std::memory_order_relaxed);
+        StatAdd(live_[engine].books.cross_group_serves);
       }
       break;
     }
@@ -287,13 +293,12 @@ Result<std::shared_ptr<const ProofBundle>> ShardedEngine::AnswerPinned(
       backoff_us = std::min(backoff_us * failover_.backoff_multiplier, cap_us);
     }
   }
-  Counters& counters = counters_[last_engine];
-  counters.answer_nanos.fetch_add(
-      static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9),
-      std::memory_order_relaxed);
-  counters.queries.fetch_add(1, std::memory_order_relaxed);
+  LiveCounters& live = live_[last_engine];
+  StatAdd(live.answer_nanos,
+          static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9));
+  StatAdd(live.books.queries);
   if (!result.ok()) {
-    counters.failures.fetch_add(1, std::memory_order_relaxed);
+    StatAdd(live.books.failures);
   }
   return result;
 }
@@ -327,12 +332,12 @@ Result<uint32_t> ShardedEngine::RotateGroup(
     // replicas rotate defer-signed and the caller publishes the forest.
     Result<uint32_t> applied =
         shards_[engine]->ApplyUpdates(forest_enabled_ ? nullptr : &keys, ops);
-    Counters& counters = counters_[engine];
+    ShardStats& books = live_[engine].books;
     if (!applied.ok()) {
-      counters.update_failures.fetch_add(1, std::memory_order_relaxed);
+      StatAdd(books.update_failures);
       return applied;
     }
-    counters.updates.fetch_add(ops.size(), std::memory_order_relaxed);
+    StatAdd(books.updates, ops.size());
     version = applied.value();
   }
   return version;
@@ -350,51 +355,31 @@ Result<uint32_t> ShardedEngine::ApplyUpdates(
   return version;
 }
 
+Status ShardedEngine::ResyncEngine(size_t engine, const MethodEngine& source) {
+  ShardStats& books = live_[engine].books;
+  if (SPAUTH_FAILPOINT_TRIGGERED_ARG("replica/resync", engine)) {
+    StatAdd(books.resync_failures);
+    return Status::Unavailable("fail point fired: replica/resync");
+  }
+  Result<uint32_t> adopted = shards_[engine]->AdoptStateFrom(source);
+  if (!adopted.ok()) {
+    StatAdd(books.resync_failures);
+    return adopted.status();
+  }
+  StatAdd(books.resyncs);
+  return Status::Ok();
+}
+
 Result<size_t> ShardedEngine::HealGroup(size_t group) {
   if (group >= num_groups_) {
     return Status::InvalidArgument("group index out of range");
   }
-  const size_t replicas = failover_.replicas_per_group;
-  const size_t base = group * replicas;
-  // The most advanced replica is the heal source: its snapshot carries the
-  // newest signature the owner actually produced, so adopting it never
-  // invents state — it replays a publish the group already saw.
-  size_t source = base;
-  uint32_t source_version =
-      shards_[base]->CurrentState()->certificate.params.version;
-  for (size_t r = 1; r < replicas; ++r) {
-    const uint32_t v =
-        shards_[base + r]->CurrentState()->certificate.params.version;
-    if (v > source_version) {
-      source_version = v;
-      source = base + r;
-    }
-  }
-  size_t healed = 0;
-  for (size_t r = 0; r < replicas; ++r) {
-    const size_t engine = base + r;
-    if (engine == source) {
-      continue;
-    }
-    if (shards_[engine]->CurrentState()->certificate.params.version >=
-        source_version) {
-      continue;  // already in lock-step
-    }
-    if (SPAUTH_FAILPOINT_TRIGGERED_ARG("replica/resync", engine)) {
-      counters_[engine].resync_failures.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      return Status::Unavailable("fail point fired: replica/resync");
-    }
-    Result<uint32_t> adopted = shards_[engine]->AdoptStateFrom(*shards_[source]);
-    if (!adopted.ok()) {
-      counters_[engine].resync_failures.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      return adopted.status();
-    }
-    counters_[engine].resyncs.fetch_add(1, std::memory_order_relaxed);
-    ++healed;
-  }
-  return healed;
+  const size_t base = group * failover_.replicas_per_group;
+  return RollLaggardsForward(
+      std::span(shards_).subspan(base, failover_.replicas_per_group),
+      [&](size_t replica, const MethodEngine& source) {
+        return ResyncEngine(base + replica, source);
+      });
 }
 
 Result<size_t> ShardedEngine::Heal() {
@@ -412,41 +397,12 @@ Result<size_t> ShardedEngine::RollFleetForward() {
         "cross-group roll-forward needs a replicated fleet: the groups "
         "serve different networks, so adoption would answer the wrong one");
   }
-  // Global heal source: the most advanced engine anywhere in the fleet.
-  // Like HealGroup, adopting it never invents state — it replays the
-  // newest publish the owner actually produced.
-  size_t source = 0;
-  uint32_t source_version =
-      shards_[0]->CurrentState()->certificate.params.version;
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    const uint32_t v =
-        shards_[i]->CurrentState()->certificate.params.version;
-    if (v > source_version) {
-      source_version = v;
-      source = i;
-    }
-  }
-  size_t rolled = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (i == source ||
-        shards_[i]->CurrentState()->certificate.params.version >=
-            source_version) {
-      continue;
-    }
-    if (SPAUTH_FAILPOINT_TRIGGERED_ARG("replica/resync", i)) {
-      counters_[i].resync_failures.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable("fail point fired: replica/resync");
-    }
-    Result<uint32_t> adopted = shards_[i]->AdoptStateFrom(*shards_[source]);
-    if (!adopted.ok()) {
-      counters_[i].resync_failures.fetch_add(1, std::memory_order_relaxed);
-      return adopted.status();
-    }
-    counters_[i].resyncs.fetch_add(1, std::memory_order_relaxed);
-    counters_[i].fleet_rollforwards.fetch_add(1, std::memory_order_relaxed);
-    ++rolled;
-  }
-  return rolled;
+  return RollLaggardsForward(
+      shards_, [&](size_t engine, const MethodEngine& source) -> Status {
+        SPAUTH_RETURN_IF_ERROR(ResyncEngine(engine, source));
+        StatAdd(live_[engine].books.fleet_rollforwards);
+        return Status::Ok();
+      });
 }
 
 Status ShardedEngine::EnableForestCertificates(const RsaKeyPair& keys,
@@ -595,8 +551,7 @@ Result<bool> ShardedEngine::Enqueue(size_t queue, const RsaKeyPair& keys,
   }
   const size_t preferred =
       queues_fleet_lock_step_ ? 0 : queue * failover_.replicas_per_group;
-  counters_[preferred].enqueued_updates.fetch_add(1,
-                                                  std::memory_order_relaxed);
+  StatAdd(live_[preferred].books.enqueued_updates);
   if (!trigger) {
     return false;
   }
@@ -661,10 +616,9 @@ Result<size_t> ShardedEngine::FlushQueue(size_t queue, const RsaKeyPair& keys,
   const UpdateQueueStats& after = oq.queue.stats();
   const size_t preferred =
       queues_fleet_lock_step_ ? 0 : queue * failover_.replicas_per_group;
-  Counters& counters = counters_[preferred];
-  counters.coalesced_rotations.fetch_add(after.rotations - before.rotations,
-                                         std::memory_order_relaxed);
-  AtomicMax(counters.update_lag_micros, after.max_lag_micros);
+  ShardStats& books = live_[preferred].books;
+  StatAdd(books.coalesced_rotations, after.rotations - before.rotations);
+  StatRaise(books.update_lag_micros, after.max_lag_micros);
   SPAUTH_RETURN_IF_ERROR(flushed);
   return after.flushed_ops - before.flushed_ops;
 }
@@ -674,36 +628,18 @@ ShardedEngine::AnswerBatch(std::span<const Query> queries,
                            size_t num_threads) const {
   std::vector<Result<std::shared_ptr<const ProofBundle>>> results(
       queries.size(), Status::Internal("query not answered"));
-  if (queries.empty()) {
-    return results;
-  }
-  if (num_threads == 0) {
-    num_threads = ThreadPool::DefaultThreads(queries.size());
-  }
-  num_threads = std::min(num_threads, queries.size());
-  if (num_threads <= 1) {
-    SearchWorkspace ws;
-    std::vector<std::shared_ptr<const EngineState>> snaps(shards_.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = AnswerPinned(queries[i], ws, snaps);
-    }
-    return results;
-  }
-  ThreadPool pool(num_threads);
-  std::atomic<size_t> next{0};
-  for (size_t w = 0; w < num_threads; ++w) {
-    pool.Submit([this, &queries, &results, &next] {
-      SearchWorkspace ws;  // per-worker scratch, hot for the whole stream
-      // One pinned snapshot per shard per worker: the steady-state read
-      // path is an epoch load, not a slot acquire.
-      std::vector<std::shared_ptr<const EngineState>> snaps(shards_.size());
-      for (size_t i = next.fetch_add(1); i < queries.size();
-           i = next.fetch_add(1)) {
-        results[i] = AnswerPinned(queries[i], ws, snaps);
-      }
-    });
-  }
-  pool.Wait();
+  struct Worker {
+    SearchWorkspace ws;  // per-worker scratch, hot for the whole stream
+    // One pinned snapshot per shard per worker: the steady-state read path
+    // is an epoch load, not a slot acquire.
+    std::vector<std::shared_ptr<const EngineState>> snaps;
+  };
+  ParallelFor(
+      queries.size(), num_threads,
+      [this] { return Worker{{}, decltype(Worker::snaps)(shards_.size())}; },
+      [&](size_t i, Worker& w) {
+        results[i] = AnswerPinned(queries[i], w.ws, w.snaps);
+      });
   return results;
 }
 
@@ -712,32 +648,8 @@ ShardedStats ShardedEngine::GetStats() const {
   stats.shards.resize(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     ShardStats& s = stats.shards[i];
-    s.queries = counters_[i].queries.load(std::memory_order_relaxed);
-    s.failures = counters_[i].failures.load(std::memory_order_relaxed);
-    s.answer_micros =
-        counters_[i].answer_nanos.load(std::memory_order_relaxed) / 1000;
-    s.updates = counters_[i].updates.load(std::memory_order_relaxed);
-    s.update_failures =
-        counters_[i].update_failures.load(std::memory_order_relaxed);
-    s.enqueued_updates =
-        counters_[i].enqueued_updates.load(std::memory_order_relaxed);
-    s.coalesced_rotations =
-        counters_[i].coalesced_rotations.load(std::memory_order_relaxed);
-    s.update_lag_micros =
-        counters_[i].update_lag_micros.load(std::memory_order_relaxed);
-    s.retries = counters_[i].retries.load(std::memory_order_relaxed);
-    s.failovers = counters_[i].failovers.load(std::memory_order_relaxed);
-    s.deadline_exceeded =
-        counters_[i].deadline_exceeded.load(std::memory_order_relaxed);
-    s.breaker_skips =
-        counters_[i].breaker_skips.load(std::memory_order_relaxed);
-    s.resyncs = counters_[i].resyncs.load(std::memory_order_relaxed);
-    s.resync_failures =
-        counters_[i].resync_failures.load(std::memory_order_relaxed);
-    s.cross_group_serves =
-        counters_[i].cross_group_serves.load(std::memory_order_relaxed);
-    s.fleet_rollforwards =
-        counters_[i].fleet_rollforwards.load(std::memory_order_relaxed);
+    s = StatSnapshot(live_[i].books);
+    s.answer_micros = StatLoad(live_[i].answer_nanos) / 1000;
     if (!health_.empty()) {
       s.breaker_opens = health_[i]->opens();
       s.breaker_state = health_[i]->state();
@@ -749,73 +661,16 @@ ShardedStats ShardedEngine::GetStats() const {
     s.certificate_version =
         shards_[i]->CurrentState()->certificate.params.version;
     s.cache = shards_[i]->proof_cache_stats();
-
-    stats.totals.queries += s.queries;
-    stats.totals.failures += s.failures;
-    stats.totals.answer_micros += s.answer_micros;
-    stats.totals.updates += s.updates;
-    stats.totals.update_failures += s.update_failures;
-    stats.totals.enqueued_updates += s.enqueued_updates;
-    stats.totals.coalesced_rotations += s.coalesced_rotations;
-    stats.totals.retries += s.retries;
-    stats.totals.failovers += s.failovers;
-    stats.totals.deadline_exceeded += s.deadline_exceeded;
-    stats.totals.breaker_skips += s.breaker_skips;
-    stats.totals.breaker_opens += s.breaker_opens;
-    stats.totals.resyncs += s.resyncs;
-    stats.totals.resync_failures += s.resync_failures;
-    stats.totals.cross_group_serves += s.cross_group_serves;
-    stats.totals.fleet_rollforwards += s.fleet_rollforwards;
-    stats.totals.rotation_clone_bytes += s.rotation_clone_bytes;
-    // Gauges aggregate as the max (or most severe) across shards — a sum
-    // of point-in-time readings would report a number no shard observed.
-    stats.totals.update_lag_micros =
-        std::max(stats.totals.update_lag_micros, s.update_lag_micros);
-    stats.totals.live_snapshots =
-        std::max(stats.totals.live_snapshots, s.live_snapshots);
-    stats.totals.certificate_version =
-        std::max(stats.totals.certificate_version, s.certificate_version);
-    stats.totals.breaker_state =
-        MoreSevere(stats.totals.breaker_state, s.breaker_state);
-    stats.totals.cache.hits += s.cache.hits;
-    stats.totals.cache.misses += s.cache.misses;
-    stats.totals.cache.insertions += s.cache.insertions;
-    stats.totals.cache.evictions += s.cache.evictions;
-    stats.totals.cache.cleared += s.cache.cleared;
-    stats.totals.cache.hit_bytes += s.cache.hit_bytes;
-    stats.totals.cache.entries += s.cache.entries;
+    MergeStats(stats.totals, s);
   }
   return stats;
 }
 
 Result<size_t> ReconcileFleetEpoch(std::span<MethodEngine* const> engines) {
-  if (engines.empty()) {
-    return size_t{0};
-  }
-  size_t source = 0;
-  uint32_t source_version =
-      engines[0]->CurrentState()->certificate.params.version;
-  for (size_t i = 1; i < engines.size(); ++i) {
-    const uint32_t v =
-        engines[i]->CurrentState()->certificate.params.version;
-    if (v > source_version) {
-      source_version = v;
-      source = i;
-    }
-  }
-  size_t rolled = 0;
-  for (size_t i = 0; i < engines.size(); ++i) {
-    if (i == source ||
-        engines[i]->CurrentState()->certificate.params.version >=
-            source_version) {
-      continue;
-    }
-    SPAUTH_ASSIGN_OR_RETURN(uint32_t adopted,
-                            engines[i]->AdoptStateFrom(*engines[source]));
-    (void)adopted;
-    ++rolled;
-  }
-  return rolled;
+  return RollLaggardsForward(
+      engines, [&](size_t i, const MethodEngine& source) {
+        return engines[i]->AdoptStateFrom(source).status();
+      });
 }
 
 }  // namespace spauth

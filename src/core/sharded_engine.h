@@ -25,12 +25,14 @@
 #include <mutex>
 #include <span>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/forest_certificate.h"
 #include "core/shard_health.h"
 #include "core/update_queue.h"
+#include "util/stat_fields.h"
 
 namespace spauth {
 
@@ -132,7 +134,8 @@ struct FailoverOptions {
   bool cross_group_failover = false;
 };
 
-/// One shard's serving counters plus its proof-cache counters.
+/// One shard's serving counters plus its proof-cache counters. How each
+/// field aggregates across shards is stated once, in kFields at the end.
 struct ShardStats {
   uint64_t queries = 0;         // answers routed to this shard
   uint64_t failures = 0;        // answers that returned an error Status
@@ -145,12 +148,10 @@ struct ShardStats {
   // fleet-lock-step queue), so summing shards still conserves.
   uint64_t enqueued_updates = 0;    // ops accepted into this engine's queue
   uint64_t coalesced_rotations = 0; // rotations queue flushes performed
-  // GAUGES — point-in-time or high-water readings, not event counts.
-  // Totals report each gauge as the max across shards: summing a gauge
-  // over shards would fabricate a number no shard ever observed.
-  uint64_t update_lag_micros = 0;  // worst queue staleness at flush (gauge)
-  size_t live_snapshots = 0;    // published + retired-but-undrained (gauge)
-  uint32_t certificate_version = 0;  // current signed version (gauge)
+  // Gauges: point-in-time or high-water readings, not event counts.
+  uint64_t update_lag_micros = 0;  // worst queue staleness at flush
+  size_t live_snapshots = 0;    // published + retired-but-undrained
+  uint32_t certificate_version = 0;  // current signed version
   // Failover-plane counters. A query is counted (queries/failures) exactly
   // once, on the engine that served it or was attempted last; retries /
   // failovers / breaker_skips accrue on the engines involved.
@@ -162,9 +163,7 @@ struct ShardStats {
   uint64_t deadline_exceeded = 0;
   uint64_t breaker_skips = 0;      // attempts denied by this engine's breaker
   uint64_t breaker_opens = 0;      // times this engine's breaker tripped
-  // Gauge; totals carry the most severe state any shard reports (open >
-  // half-open > closed) — "is anything tripped" at a glance.
-  BreakerState breaker_state = BreakerState::kClosed;
+  BreakerState breaker_state = BreakerState::kClosed;  // gauge
   // Heal-plane counters (owner-side replica resync, see HealGroup).
   uint64_t resyncs = 0;          // times this replica adopted a sibling's state
   uint64_t resync_failures = 0;  // heal attempts on this replica that failed
@@ -173,12 +172,37 @@ struct ShardStats {
   // fleet rotation (ApplyUpdatesAllShards' self-repair).
   uint64_t fleet_rollforwards = 0;
   ProofCacheStats cache;
+
+  // Gauges take the max across shards: summing point-in-time readings
+  // would report a number no shard observed.
+  static constexpr auto kFields = std::tuple{
+      StatSum("queries", &ShardStats::queries),
+      StatSum("failures", &ShardStats::failures),
+      StatSum("answer_micros", &ShardStats::answer_micros),
+      StatSum("updates", &ShardStats::updates),
+      StatSum("update_failures", &ShardStats::update_failures),
+      StatSum("rotation_clone_bytes", &ShardStats::rotation_clone_bytes),
+      StatSum("enqueued_updates", &ShardStats::enqueued_updates),
+      StatSum("coalesced_rotations", &ShardStats::coalesced_rotations),
+      StatMax("update_lag_micros", &ShardStats::update_lag_micros),
+      StatMax("live_snapshots", &ShardStats::live_snapshots),
+      StatMax("certificate_version", &ShardStats::certificate_version),
+      StatSum("retries", &ShardStats::retries),
+      StatSum("failovers", &ShardStats::failovers),
+      StatSum("deadline_exceeded", &ShardStats::deadline_exceeded),
+      StatSum("breaker_skips", &ShardStats::breaker_skips),
+      StatSum("breaker_opens", &ShardStats::breaker_opens),
+      StatMostSevere("breaker_state", &ShardStats::breaker_state),
+      StatSum("resyncs", &ShardStats::resyncs),
+      StatSum("resync_failures", &ShardStats::resync_failures),
+      StatSum("cross_group_serves", &ShardStats::cross_group_serves),
+      StatSum("fleet_rollforwards", &ShardStats::fleet_rollforwards),
+      StatNested("cache", &ShardStats::cache),
+  };
 };
 
 /// Per-shard stats plus their aggregate, from one consistent pass over the
-/// shards. Counters sum; gauges (certificate_version, live_snapshots,
-/// update_lag_micros, breaker_state) aggregate as the max — or most severe —
-/// across shards, never as a sum.
+/// shards: `totals` merges the shards per ShardStats::kFields.
 struct ShardedStats {
   std::vector<ShardStats> shards;
   ShardStats totals;
@@ -374,28 +398,18 @@ class ShardedEngine {
   Result<size_t> RollFleetForward();
 
  private:
-  // Serving counters are per-shard atomics so AnswerBatch workers never
-  // contend on a shared lock; cache counters live in each shard's cache.
+  // One engine's live counters: `books` is a ShardStats written only
+  // through StatAdd/StatRaise (relaxed atomic_ref), so AnswerBatch workers
+  // never contend on a lock; cache counters live in each shard's cache.
   // Time accumulates in nanoseconds: cache hits finish well under a
   // microsecond, and truncating each one to micros would count the whole
-  // hit path as free. GetStats converts once.
-  struct Counters {
-    std::atomic<uint64_t> queries{0};
-    std::atomic<uint64_t> failures{0};
-    std::atomic<uint64_t> answer_nanos{0};
-    std::atomic<uint64_t> updates{0};
-    std::atomic<uint64_t> update_failures{0};
-    std::atomic<uint64_t> enqueued_updates{0};
-    std::atomic<uint64_t> coalesced_rotations{0};
-    std::atomic<uint64_t> update_lag_micros{0};  // high-water gauge
-    std::atomic<uint64_t> retries{0};
-    std::atomic<uint64_t> failovers{0};
-    std::atomic<uint64_t> deadline_exceeded{0};
-    std::atomic<uint64_t> breaker_skips{0};
-    std::atomic<uint64_t> resyncs{0};
-    std::atomic<uint64_t> resync_failures{0};
-    std::atomic<uint64_t> cross_group_serves{0};
-    std::atomic<uint64_t> fleet_rollforwards{0};
+  // hit path as free. GetStats converts once. Each engine's block starts
+  // on its own cache line, with the per-query fields (answer_nanos,
+  // queries, failures) together in that first line, so workers serving
+  // different engines never write the same line.
+  struct alignas(64) LiveCounters {
+    uint64_t answer_nanos = 0;
+    ShardStats books;
   };
 
   ShardedEngine(std::vector<std::unique_ptr<MethodEngine>> shards,
@@ -414,6 +428,11 @@ class ShardedEngine {
   Result<std::shared_ptr<const ProofBundle>> AttemptOnEngine(
       size_t engine, const Query& query, SearchWorkspace& ws,
       std::span<std::shared_ptr<const EngineState>> snaps) const;
+
+  /// One repair adopt: `engine` takes `source`'s live snapshot. Fail point
+  /// "replica/resync" (arg = engine index) fails it; books resyncs or
+  /// resync_failures on `engine`.
+  Status ResyncEngine(size_t engine, const MethodEngine& source);
 
   /// One group's rotation WITHOUT the forest publish (the callers decide
   /// whether the publish covers one group or the whole fleet): heals
@@ -444,7 +463,7 @@ class ShardedEngine {
   std::unique_ptr<ShardRouter> router_;
   FailoverOptions failover_;
   size_t num_groups_ = 0;
-  mutable std::unique_ptr<Counters[]> counters_;
+  mutable std::unique_ptr<LiveCounters[]> live_;
   // One breaker per engine (empty unless failover_.enable_breakers).
   std::vector<std::unique_ptr<ShardHealth>> health_;
   // True when every shard serves the same graph (Build saw one graph

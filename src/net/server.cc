@@ -236,7 +236,7 @@ void SpauthServer::AcceptNewConnections() {
     }
     if (SPAUTH_FAILPOINT_TRIGGERED("net/accept")) {
       ::close(fd);
-      counters_.conns_refused.fetch_add(1, std::memory_order_relaxed);
+      StatAdd(counters_.conns_refused);
       continue;
     }
     int one = 1;
@@ -253,7 +253,7 @@ void SpauthServer::AcceptNewConnections() {
       continue;
     }
     conns_.emplace(id, std::move(conn));
-    counters_.conns_accepted.fetch_add(1, std::memory_order_relaxed);
+    StatAdd(counters_.conns_accepted);
   }
 }
 
@@ -272,8 +272,7 @@ void SpauthServer::HandleReadable(Conn* conn) {
     }
     ssize_t n = ::read(conn->fd, buf.data(), want);
     if (n > 0) {
-      counters_.bytes_read.fetch_add(static_cast<uint64_t>(n),
-                                     std::memory_order_relaxed);
+      StatAdd(counters_.bytes_read, static_cast<uint64_t>(n));
       conn->decoder.Feed(
           std::span<const uint8_t>(buf.data(), static_cast<size_t>(n)));
       if (!DrainFrames(conn)) {
@@ -307,21 +306,21 @@ bool SpauthServer::DrainFrames(Conn* conn) {
   for (;;) {
     auto next = conn->decoder.Next(&frame);
     if (!next.ok()) {
-      counters_.frames_malformed.fetch_add(1, std::memory_order_relaxed);
+      StatAdd(counters_.frames_malformed);
       CloseConn(conn->id, &counters_.conns_closed);
       return false;
     }
     if (!next.value()) {
       return true;
     }
-    counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
+    StatAdd(counters_.frames_received);
     switch (frame.type) {
       case MsgType::kHello: {
         HelloMsg hello;
         if (!ParseHello(frame.payload, &hello).ok() ||
             hello.protocol_version < kMinProtocolVersion ||
             hello.protocol_version > kProtocolVersion) {
-          counters_.frames_malformed.fetch_add(1, std::memory_order_relaxed);
+          StatAdd(counters_.frames_malformed);
           CloseConn(conn->id, &counters_.conns_closed);
           return false;
         }
@@ -332,7 +331,7 @@ bool SpauthServer::DrainFrames(Conn* conn) {
         const ServerInfoMsg info = MakeServerInfo(conn->protocol_version);
         if (info.forest_present) {
           conn->forest_epoch_sent = info.forest.params.fleet_epoch;
-          counters_.forest_certs_sent.fetch_add(1, std::memory_order_relaxed);
+          StatAdd(counters_.forest_certs_sent);
         }
         EnqueueOwned(conn, EncodeServerInfoFrame(info));
         break;
@@ -340,11 +339,11 @@ bool SpauthServer::DrainFrames(Conn* conn) {
       case MsgType::kQuery: {
         QueryMsg query;
         if (!ParseQuery(frame.payload, &query).ok()) {
-          counters_.frames_malformed.fetch_add(1, std::memory_order_relaxed);
+          StatAdd(counters_.frames_malformed);
           CloseConn(conn->id, &counters_.conns_closed);
           return false;
         }
-        counters_.queries_received.fetch_add(1, std::memory_order_relaxed);
+        StatAdd(counters_.queries_received);
         conn->pending.push_back(query);
         break;
       }
@@ -353,7 +352,7 @@ bool SpauthServer::DrainFrames(Conn* conn) {
         break;
       default:
         // Server-to-client types from a client are a protocol violation.
-        counters_.frames_malformed.fetch_add(1, std::memory_order_relaxed);
+        StatAdd(counters_.frames_malformed);
         CloseConn(conn->id, &counters_.conns_closed);
         return false;
     }
@@ -365,7 +364,7 @@ void SpauthServer::MaybeDispatch(Conn* conn) {
     return;
   }
   conn->batch_inflight = true;
-  counters_.batches_dispatched.fetch_add(1, std::memory_order_relaxed);
+  StatAdd(counters_.batches_dispatched);
   const uint64_t conn_id = conn->id;
   std::vector<QueryMsg> batch = std::move(conn->pending);
   conn->pending.clear();
@@ -436,11 +435,10 @@ void SpauthServer::DrainCompletions() {
                                  reply.bundle->bytes.size(), tail.size()));
           EnqueueBundle(conn, std::move(reply.bundle));
           EnqueueOwned(conn, std::move(tail));
-          counters_.forest_paths_sent.fetch_add(1, std::memory_order_relaxed);
+          StatAdd(counters_.forest_paths_sent);
           if (!inline_cert.empty()) {
             conn->forest_epoch_sent = epoch;
-            counters_.forest_certs_sent.fetch_add(1,
-                                                  std::memory_order_relaxed);
+            StatAdd(counters_.forest_certs_sent);
           }
         } else {
           EnqueueOwned(conn,
@@ -448,11 +446,11 @@ void SpauthServer::DrainCompletions() {
                                                 reply.bundle->bytes.size()));
           EnqueueBundle(conn, std::move(reply.bundle));
         }
-        counters_.answers_ok.fetch_add(1, std::memory_order_relaxed);
+        StatAdd(counters_.answers_ok);
       } else {
         EnqueueOwned(conn, EncodeErrorAnswerFrame(reply.request_id,
                                                   reply.shard, reply.error));
-        counters_.answers_error.fetch_add(1, std::memory_order_relaxed);
+        StatAdd(counters_.answers_error);
       }
     }
     MaybeDispatch(conn);  // queries that arrived while the batch ran
@@ -490,8 +488,7 @@ bool SpauthServer::FlushWrites(Conn* conn) {
       ssize_t torn =
           ::write(conn->fd, data.data() + chunk.offset, remaining / 2);
       if (torn > 0) {
-        counters_.bytes_written.fetch_add(static_cast<uint64_t>(torn),
-                                          std::memory_order_relaxed);
+        StatAdd(counters_.bytes_written, static_cast<uint64_t>(torn));
       }
       CloseConn(conn->id, &counters_.conns_killed);
       return false;
@@ -504,11 +501,9 @@ bool SpauthServer::FlushWrites(Conn* conn) {
       CloseConn(conn->id, &counters_.conns_closed);
       return false;
     }
-    counters_.bytes_written.fetch_add(static_cast<uint64_t>(n),
-                                      std::memory_order_relaxed);
+    StatAdd(counters_.bytes_written, static_cast<uint64_t>(n));
     if (chunk.bundle) {
-      counters_.proof_bytes_sent.fetch_add(static_cast<uint64_t>(n),
-                                           std::memory_order_relaxed);
+      StatAdd(counters_.proof_bytes_sent, static_cast<uint64_t>(n));
     }
     chunk.offset += static_cast<size_t>(n);
     conn->write_q_bytes -= static_cast<size_t>(n);
@@ -530,7 +525,7 @@ void SpauthServer::ApplyBackpressure(Conn* conn) {
   if (!conn->read_paused &&
       conn->write_q_bytes >= options_.write_high_watermark) {
     conn->read_paused = true;
-    counters_.backpressure_stalls.fetch_add(1, std::memory_order_relaxed);
+    StatAdd(counters_.backpressure_stalls);
   }
 }
 
@@ -542,8 +537,7 @@ void SpauthServer::UpdateInterest(Conn* conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
-void SpauthServer::CloseConn(uint64_t conn_id,
-                             std::atomic<uint64_t>* counter) {
+void SpauthServer::CloseConn(uint64_t conn_id, uint64_t* counter) {
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) {
     return;
@@ -551,7 +545,7 @@ void SpauthServer::CloseConn(uint64_t conn_id,
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, it->second->fd, nullptr);
   ::close(it->second->fd);
   conns_.erase(it);
-  counter->fetch_add(1, std::memory_order_relaxed);
+  StatAdd(*counter);
 }
 
 ServerInfoMsg SpauthServer::MakeServerInfo(
@@ -573,58 +567,15 @@ ServerInfoMsg SpauthServer::MakeServerInfo(
   return info;
 }
 
-ServerStats SpauthServer::stats() const {
-  ServerStats s;
-  s.conns_accepted = counters_.conns_accepted.load(std::memory_order_relaxed);
-  s.conns_closed = counters_.conns_closed.load(std::memory_order_relaxed);
-  s.conns_refused = counters_.conns_refused.load(std::memory_order_relaxed);
-  s.conns_killed = counters_.conns_killed.load(std::memory_order_relaxed);
-  s.frames_received =
-      counters_.frames_received.load(std::memory_order_relaxed);
-  s.frames_malformed =
-      counters_.frames_malformed.load(std::memory_order_relaxed);
-  s.queries_received =
-      counters_.queries_received.load(std::memory_order_relaxed);
-  s.answers_ok = counters_.answers_ok.load(std::memory_order_relaxed);
-  s.answers_error = counters_.answers_error.load(std::memory_order_relaxed);
-  s.batches_dispatched =
-      counters_.batches_dispatched.load(std::memory_order_relaxed);
-  s.proof_bytes_sent =
-      counters_.proof_bytes_sent.load(std::memory_order_relaxed);
-  s.proof_bytes_copied =
-      counters_.proof_bytes_copied.load(std::memory_order_relaxed);
-  s.bytes_read = counters_.bytes_read.load(std::memory_order_relaxed);
-  s.bytes_written = counters_.bytes_written.load(std::memory_order_relaxed);
-  s.backpressure_stalls =
-      counters_.backpressure_stalls.load(std::memory_order_relaxed);
-  s.forest_paths_sent =
-      counters_.forest_paths_sent.load(std::memory_order_relaxed);
-  s.forest_certs_sent =
-      counters_.forest_certs_sent.load(std::memory_order_relaxed);
-  return s;
-}
+ServerStats SpauthServer::stats() const { return StatSnapshot(counters_); }
 
 WireStats SpauthServer::SnapshotWireStats() const {
   const ServerStats s = stats();
-  return WireStats{
-      {"conns_accepted", s.conns_accepted},
-      {"conns_closed", s.conns_closed},
-      {"conns_refused", s.conns_refused},
-      {"conns_killed", s.conns_killed},
-      {"frames_received", s.frames_received},
-      {"frames_malformed", s.frames_malformed},
-      {"queries_received", s.queries_received},
-      {"answers_ok", s.answers_ok},
-      {"answers_error", s.answers_error},
-      {"batches_dispatched", s.batches_dispatched},
-      {"proof_bytes_sent", s.proof_bytes_sent},
-      {"proof_bytes_copied", s.proof_bytes_copied},
-      {"bytes_read", s.bytes_read},
-      {"bytes_written", s.bytes_written},
-      {"backpressure_stalls", s.backpressure_stalls},
-      {"forest_paths_sent", s.forest_paths_sent},
-      {"forest_certs_sent", s.forest_certs_sent},
-  };
+  WireStats wire;
+  ForEachStatField<ServerStats>([&](const auto& field) {
+    wire.emplace_back(field.name, s.*field.member);
+  });
+  return wire;
 }
 
 }  // namespace spauth

@@ -45,12 +45,14 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "core/sharded_engine.h"
 #include "crypto/rsa.h"
 #include "net/wire_protocol.h"
+#include "util/stat_fields.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -95,6 +97,28 @@ struct ServerStats {
   uint64_t backpressure_stalls = 0;  // times a connection's reads paused
   uint64_t forest_paths_sent = 0;    // v2 answers carrying a forest path
   uint64_t forest_certs_sent = 0;    // inline forest certs (epoch changes)
+
+  /// The kStats export and the tools' JSON stats line walk this list; its
+  /// order is the kStats wire order.
+  static constexpr auto kFields = std::tuple{
+      StatSum("conns_accepted", &ServerStats::conns_accepted),
+      StatSum("conns_closed", &ServerStats::conns_closed),
+      StatSum("conns_refused", &ServerStats::conns_refused),
+      StatSum("conns_killed", &ServerStats::conns_killed),
+      StatSum("frames_received", &ServerStats::frames_received),
+      StatSum("frames_malformed", &ServerStats::frames_malformed),
+      StatSum("queries_received", &ServerStats::queries_received),
+      StatSum("answers_ok", &ServerStats::answers_ok),
+      StatSum("answers_error", &ServerStats::answers_error),
+      StatSum("batches_dispatched", &ServerStats::batches_dispatched),
+      StatSum("proof_bytes_sent", &ServerStats::proof_bytes_sent),
+      StatSum("proof_bytes_copied", &ServerStats::proof_bytes_copied),
+      StatSum("bytes_read", &ServerStats::bytes_read),
+      StatSum("bytes_written", &ServerStats::bytes_written),
+      StatSum("backpressure_stalls", &ServerStats::backpressure_stalls),
+      StatSum("forest_paths_sent", &ServerStats::forest_paths_sent),
+      StatSum("forest_certs_sent", &ServerStats::forest_certs_sent),
+  };
 };
 
 class SpauthServer {
@@ -141,7 +165,7 @@ class SpauthServer {
   void EnqueueBundle(Conn* conn, std::shared_ptr<const ProofBundle> bundle);
   void ApplyBackpressure(Conn* conn);
   void UpdateInterest(Conn* conn);
-  void CloseConn(uint64_t conn_id, std::atomic<uint64_t>* counter);
+  void CloseConn(uint64_t conn_id, uint64_t* counter);
   void WakeLoop();
 
   ServerInfoMsg MakeServerInfo(uint32_t negotiated_version) const;
@@ -170,26 +194,9 @@ class SpauthServer {
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
 
-  struct Counters {
-    std::atomic<uint64_t> conns_accepted{0};
-    std::atomic<uint64_t> conns_closed{0};
-    std::atomic<uint64_t> conns_refused{0};
-    std::atomic<uint64_t> conns_killed{0};
-    std::atomic<uint64_t> frames_received{0};
-    std::atomic<uint64_t> frames_malformed{0};
-    std::atomic<uint64_t> queries_received{0};
-    std::atomic<uint64_t> answers_ok{0};
-    std::atomic<uint64_t> answers_error{0};
-    std::atomic<uint64_t> batches_dispatched{0};
-    std::atomic<uint64_t> proof_bytes_sent{0};
-    std::atomic<uint64_t> proof_bytes_copied{0};
-    std::atomic<uint64_t> bytes_read{0};
-    std::atomic<uint64_t> bytes_written{0};
-    std::atomic<uint64_t> backpressure_stalls{0};
-    std::atomic<uint64_t> forest_paths_sent{0};
-    std::atomic<uint64_t> forest_certs_sent{0};
-  };
-  mutable Counters counters_;
+  // Live counters, written only through StatAdd (relaxed atomic_ref) by
+  // the loop thread and the workers; stats() takes a relaxed snapshot.
+  mutable ServerStats counters_;
 };
 
 }  // namespace spauth

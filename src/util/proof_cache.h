@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "util/hash_mix.h"
+#include "util/stat_fields.h"
 
 namespace spauth {
 
@@ -40,6 +41,16 @@ struct ProofCacheStats {
   uint64_t hit_bytes = 0;
   /// Entries currently resident.
   size_t entries = 0;
+
+  static constexpr auto kFields = std::tuple{
+      StatSum("hits", &ProofCacheStats::hits),
+      StatSum("misses", &ProofCacheStats::misses),
+      StatSum("insertions", &ProofCacheStats::insertions),
+      StatSum("evictions", &ProofCacheStats::evictions),
+      StatSum("cleared", &ProofCacheStats::cleared),
+      StatSum("hit_bytes", &ProofCacheStats::hit_bytes),
+      StatSum("entries", &ProofCacheStats::entries),
+  };
 
   double hit_rate() const {
     const uint64_t total = hits + misses;
@@ -72,12 +83,12 @@ class ProofCache {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      ++shard.misses;
+      ++shard.books.misses;
       return nullptr;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.hits;
-    shard.hit_bytes += it->second->bytes;
+    ++shard.books.hits;
+    shard.books.hit_bytes += it->second->bytes;
     return it->second->value;
   }
 
@@ -97,11 +108,11 @@ class ProofCache {
     }
     shard.lru.push_front(Entry{key, std::move(value), bytes});
     shard.index[key] = shard.lru.begin();
-    ++shard.insertions;
+    ++shard.books.insertions;
     while (shard.lru.size() > per_shard_capacity_) {
       shard.index.erase(shard.lru.back().key);
       shard.lru.pop_back();
-      ++shard.evictions;
+      ++shard.books.evictions;
     }
   }
 
@@ -110,7 +121,7 @@ class ProofCache {
   void Clear() {
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
-      shard->cleared += shard->lru.size();
+      shard->books.cleared += shard->lru.size();
       shard->lru.clear();
       shard->index.clear();
     }
@@ -120,13 +131,9 @@ class ProofCache {
     ProofCacheStats stats;
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
-      stats.hits += shard->hits;
-      stats.misses += shard->misses;
-      stats.insertions += shard->insertions;
-      stats.evictions += shard->evictions;
-      stats.cleared += shard->cleared;
-      stats.hit_bytes += shard->hit_bytes;
-      stats.entries += shard->lru.size();
+      ProofCacheStats books = shard->books;
+      books.entries = shard->lru.size();
+      MergeStats(stats, books);
     }
     return stats;
   }
@@ -141,12 +148,7 @@ class ProofCache {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<uint64_t, typename std::list<Entry>::iterator> index;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t cleared = 0;
-    uint64_t hit_bytes = 0;
+    ProofCacheStats books;  // entries stays 0; GetStats reads lru.size()
   };
 
   Shard& ShardOf(uint64_t key) const {

@@ -1,13 +1,16 @@
-// A small fixed-size worker pool for batch query serving.
+// A small fixed-size worker pool for batch query serving, and ParallelFor,
+// the one batch fan-out the engines and the client verifiers share.
 //
-// MethodEngine::AnswerBatch fans a query stream out over N workers, each
-// holding its own SearchWorkspace so the per-thread scratch arrays stay hot
-// across the whole stream. The pool is deliberately minimal: submit
-// void() tasks, wait for quiescence, destroy. No futures, no task
+// A batch fans a job stream out over N workers, each holding its own
+// scratch (a SearchWorkspace, a VerifyWorkspace) so the per-thread arrays
+// stay hot across the whole stream. The pool is deliberately minimal:
+// submit void() tasks, wait for quiescence, destroy. No futures, no task
 // priorities — the batch layer owns result placement.
 #ifndef SPAUTH_UTIL_THREAD_POOL_H_
 #define SPAUTH_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -50,6 +53,38 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Runs `fn(job, scratch)` for every job in [0, jobs). Each worker owns one
+/// `make_scratch()` result for its whole share of the stream and claims
+/// jobs in order through one atomic cursor. `num_threads == 0` picks
+/// ThreadPool::DefaultThreads(jobs); never more workers than jobs. With one
+/// worker this is a plain loop on the calling thread and builds no pool.
+template <typename MakeScratch, typename Fn>
+void ParallelFor(size_t jobs, size_t num_threads,
+                 const MakeScratch& make_scratch, const Fn& fn) {
+  if (num_threads == 0) {
+    num_threads = ThreadPool::DefaultThreads(jobs);
+  }
+  num_threads = std::min(num_threads, jobs);
+  if (num_threads <= 1) {
+    auto scratch = make_scratch();
+    for (size_t i = 0; i < jobs; ++i) {
+      fn(i, scratch);
+    }
+    return;
+  }
+  ThreadPool pool(num_threads);
+  std::atomic<size_t> next{0};
+  for (size_t w = 0; w < num_threads; ++w) {
+    pool.Submit([&] {
+      auto scratch = make_scratch();
+      for (size_t i = next.fetch_add(1); i < jobs; i = next.fetch_add(1)) {
+        fn(i, scratch);
+      }
+    });
+  }
+  pool.Wait();
+}
 
 }  // namespace spauth
 

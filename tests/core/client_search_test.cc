@@ -1,8 +1,11 @@
-// Direct unit tests for the client-side searches over authenticated tuple
-// maps (the code that actually decides accept/reject in DIJ/LDM/HYP).
+// Direct unit tests for the client-side searches over authenticated tuples
+// (the code that actually decides accept/reject in DIJ/LDM/HYP).
 #include "core/client_search.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
+#include <vector>
 
 #include "core/network_ads.h"
 #include "graph/dijkstra.h"
@@ -11,17 +14,55 @@
 namespace spauth {
 namespace {
 
-// Builds a tuple map over all nodes of `g` (base tuples, no extensions).
+// Indexes base tuples over all nodes of `g` (no extensions) in a TupleLane
+// bounded by the graph's node count, the way a verifier indexes a decoded
+// proof. Remove() re-indexes without the dropped tuple (a tuple-drop
+// attack). Tests may edit `storage` in place: the lane holds pointers.
 struct TupleHolder {
   std::vector<ExtendedTuple> storage;
-  TupleIndex index;
+  std::vector<bool> removed;
+  TupleLane lane;
+  SearchWorkspace ws;
 
-  explicit TupleHolder(const Graph& g) : storage(BuildBaseTuples(g)) {
+  explicit TupleHolder(const Graph& g)
+      : storage(BuildBaseTuples(g)), removed(storage.size(), false) {
+    Index();
+  }
+  void Remove(NodeId v) {
+    removed[v] = true;
+    Index();
+  }
+  void Index() {
+    lane.Prepare(storage.size());
     for (const ExtendedTuple& t : storage) {
-      index[t.id] = &t;
+      if (!removed[t.id]) {
+        EXPECT_EQ(lane.Insert(&t), TupleLane::InsertResult::kOk);
+      }
     }
   }
-  void Remove(NodeId v) { index.erase(v); }
+
+  SubgraphSearchOutcome Dijkstra(NodeId s, NodeId t, double claim) {
+    return DijkstraOverTuples(lane, s, t, claim, ws);
+  }
+  SubgraphSearchOutcome AStar(NodeId s, NodeId t, double claim,
+                              double lambda) {
+    return AStarOverTuples(lane, s, t, claim, lambda, ws);
+  }
+  // In-cell distances of every reached node.
+  std::unordered_map<NodeId, double> InCell(NodeId source, uint32_t cell) {
+    std::vector<NodeId> reached;
+    InCellDijkstraOverTuples(lane, source, cell, &ws.forward, &ws.heap,
+                             &reached);
+    std::unordered_map<NodeId, double> dist;
+    for (NodeId v : reached) {
+      dist[v] = ws.forward.Dist(v);
+    }
+    return dist;
+  }
+  VerifyOutcome CheckPath(const Query& q, const Path& path, double claim) {
+    std::vector<NodeId> scratch;
+    return CheckPathAgainstTuples(lane, q, path, claim, &scratch);
+  }
 };
 
 TEST(DijkstraOverTuplesTest, MatchesGraphDijkstra) {
@@ -29,7 +70,7 @@ TEST(DijkstraOverTuplesTest, MatchesGraphDijkstra) {
   TupleHolder tuples(g);
   auto truth = DijkstraShortestPath(g, 0, 3);
   SubgraphSearchOutcome out =
-      DijkstraOverTuples(tuples.index, 0, 3, truth.distance);
+      tuples.Dijkstra(0, 3, truth.distance);
   ASSERT_EQ(out.code, SubgraphSearchOutcome::Code::kOk);
   EXPECT_DOUBLE_EQ(out.distance, truth.distance);
 }
@@ -39,7 +80,7 @@ TEST(DijkstraOverTuplesTest, DetectsMissingInteriorTuple) {
   TupleHolder tuples(g);
   // v3 (id 2) lies on the only shortest path v1->v4 at distance 2 < 8.
   tuples.Remove(2);
-  SubgraphSearchOutcome out = DijkstraOverTuples(tuples.index, 0, 3, 8.0);
+  SubgraphSearchOutcome out = tuples.Dijkstra(0, 3, 8.0);
   EXPECT_EQ(out.code, SubgraphSearchOutcome::Code::kMissingTuple);
   EXPECT_EQ(out.node, 2u);
 }
@@ -48,7 +89,7 @@ TEST(DijkstraOverTuplesTest, MissingSourceIsMissingTuple) {
   Graph g = testing::MakeFigure1Graph();
   TupleHolder tuples(g);
   tuples.Remove(0);
-  SubgraphSearchOutcome out = DijkstraOverTuples(tuples.index, 0, 3, 8.0);
+  SubgraphSearchOutcome out = tuples.Dijkstra(0, 3, 8.0);
   EXPECT_EQ(out.code, SubgraphSearchOutcome::Code::kMissingTuple);
   EXPECT_EQ(out.node, 0u);
 }
@@ -59,7 +100,7 @@ TEST(DijkstraOverTuplesTest, MissingTupleBeyondClaimIsTolerated) {
   // v2 (id 1) is at distance 1 from v1 but the claim is tiny: searching
   // v1 -> v2 with claim 1.0 never needs v4's tuple (distance 10).
   tuples.Remove(3);
-  SubgraphSearchOutcome out = DijkstraOverTuples(tuples.index, 0, 1, 1.0);
+  SubgraphSearchOutcome out = tuples.Dijkstra(0, 1, 1.0);
   ASSERT_EQ(out.code, SubgraphSearchOutcome::Code::kOk);
   EXPECT_DOUBLE_EQ(out.distance, 1.0);
 }
@@ -73,7 +114,7 @@ TEST(DijkstraOverTuplesTest, UnreachableTargetReported) {
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
   TupleHolder tuples(g.value());
-  SubgraphSearchOutcome out = DijkstraOverTuples(tuples.index, 0, 2, 5.0);
+  SubgraphSearchOutcome out = tuples.Dijkstra(0, 2, 5.0);
   EXPECT_EQ(out.code, SubgraphSearchOutcome::Code::kTargetNotReached);
 }
 
@@ -81,7 +122,7 @@ TEST(AStarOverTuplesTest, RejectsTuplesWithoutLandmarkData) {
   Graph g = testing::MakeFigure1Graph();
   TupleHolder tuples(g);  // base tuples: no landmark fields
   SubgraphSearchOutcome out =
-      AStarOverTuples(tuples.index, 0, 3, 8.0, /*lambda=*/1.0);
+      tuples.AStar(0, 3, 8.0, /*lambda=*/1.0);
   EXPECT_EQ(out.code, SubgraphSearchOutcome::Code::kBadTupleData);
 }
 
@@ -96,7 +137,7 @@ TEST(AStarOverTuplesTest, ZeroVectorsBehaveLikeDijkstra) {
     t.qcodes = {0, 0};
   }
   SubgraphSearchOutcome out =
-      AStarOverTuples(tuples.index, 0, 3, 8.0, /*lambda=*/1.0);
+      tuples.AStar(0, 3, 8.0, /*lambda=*/1.0);
   ASSERT_EQ(out.code, SubgraphSearchOutcome::Code::kOk);
   EXPECT_DOUBLE_EQ(out.distance, 8.0);
 }
@@ -115,7 +156,7 @@ TEST(AStarOverTuplesTest, MissingRepresentativeDetected) {
   tuples.storage[2].ref_node = 99;
   tuples.storage[2].ref_error = 0;
   SubgraphSearchOutcome out =
-      AStarOverTuples(tuples.index, 0, 3, 8.0, /*lambda=*/1.0);
+      tuples.AStar(0, 3, 8.0, /*lambda=*/1.0);
   EXPECT_EQ(out.code, SubgraphSearchOutcome::Code::kMissingTuple);
   EXPECT_EQ(out.node, 99u);
 }
@@ -130,7 +171,7 @@ TEST(AStarOverTuplesTest, MismatchedVectorLengthsRejected) {
   }
   tuples.storage[4].qcodes = {0, 0, 0};  // wrong arity
   SubgraphSearchOutcome out =
-      AStarOverTuples(tuples.index, 0, 3, 8.0, /*lambda=*/1.0);
+      tuples.AStar(0, 3, 8.0, /*lambda=*/1.0);
   EXPECT_EQ(out.code, SubgraphSearchOutcome::Code::kBadTupleData);
 }
 
@@ -143,7 +184,7 @@ TEST(InCellDijkstraTest, RespectsCellBoundaries) {
     t.has_cell_data = true;
     t.cell = (t.id % 4 < 2) ? 0 : 1;  // columns 0-1 cell 0, columns 2-3 cell 1
   }
-  auto dist = InCellDijkstraOverTuples(tuples.index, 0, 0);
+  auto dist = tuples.InCell(0, 0);
   // Node 1 (same row, cell 0) reachable at 1.
   ASSERT_TRUE(dist.contains(1));
   EXPECT_DOUBLE_EQ(dist.at(1), 1.0);
@@ -161,7 +202,7 @@ TEST(InCellDijkstraTest, SourceOutsideCellYieldsEmpty) {
     t.has_cell_data = true;
     t.cell = 0;
   }
-  EXPECT_TRUE(InCellDijkstraOverTuples(tuples.index, 4, 7).empty());
+  EXPECT_TRUE(tuples.InCell(4, 7).empty());
 }
 
 TEST(CheckPathAgainstTuplesTest, AllRejectionClasses) {
@@ -170,31 +211,31 @@ TEST(CheckPathAgainstTuplesTest, AllRejectionClasses) {
   Query q{0, 3};
   // Happy path.
   EXPECT_TRUE(
-      CheckPathAgainstTuples(tuples.index, q, Path{{0, 2, 4, 5, 3}}, 8.0)
+      tuples.CheckPath(q, Path{{0, 2, 4, 5, 3}}, 8.0)
           .accepted);
   // Wrong endpoints.
   EXPECT_EQ(
-      CheckPathAgainstTuples(tuples.index, q, Path{{2, 4, 5, 3}}, 6.0)
+      tuples.CheckPath(q, Path{{2, 4, 5, 3}}, 6.0)
           .failure,
       VerifyFailure::kInvalidPath);
   // Repeated node.
-  EXPECT_EQ(CheckPathAgainstTuples(tuples.index, q,
+  EXPECT_EQ(tuples.CheckPath(q,
                                    Path{{0, 2, 0, 2, 4, 5, 3}}, 12.0)
                 .failure,
             VerifyFailure::kInvalidPath);
   // Phantom edge.
-  EXPECT_EQ(CheckPathAgainstTuples(tuples.index, q, Path{{0, 3}}, 8.0)
+  EXPECT_EQ(tuples.CheckPath(q, Path{{0, 3}}, 8.0)
                 .failure,
             VerifyFailure::kInvalidPath);
   // Wrong total.
   EXPECT_EQ(
-      CheckPathAgainstTuples(tuples.index, q, Path{{0, 2, 4, 5, 3}}, 9.0)
+      tuples.CheckPath(q, Path{{0, 2, 4, 5, 3}}, 9.0)
           .failure,
       VerifyFailure::kDistanceMismatch);
   // Missing tuple on the path.
   tuples.Remove(4);
   EXPECT_EQ(
-      CheckPathAgainstTuples(tuples.index, q, Path{{0, 2, 4, 5, 3}}, 8.0)
+      tuples.CheckPath(q, Path{{0, 2, 4, 5, 3}}, 8.0)
           .failure,
       VerifyFailure::kInvalidPath);
 }

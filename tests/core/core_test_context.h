@@ -29,13 +29,13 @@ struct CoreTestContext {
   static EngineOptions DefaultOptions(MethodKind kind);
 };
 
-/// Asserts the fleet's stats books conserve: every additive ShardedStats
-/// totals counter — serving, failover, heal, queue and cache planes —
-/// equals its per-shard sum, and every gauge (live_snapshots,
-/// certificate_version, update_lag_micros) equals its per-shard MAX —
-/// summing a gauge across shards would fabricate a reading no shard ever
-/// observed. Returns the recomputed aggregate so callers can assert
-/// workload-specific expectations against it without re-summing.
+/// Asserts the fleet's stats books conserve: for every field in
+/// ShardStats::kFields (the cache's fields included), the totals equal the
+/// per-shard sum for a counter, the per-shard MAX for a gauge (summing a
+/// gauge would fabricate a reading no shard observed) and the most severe
+/// per-shard state for breaker_state. The arithmetic is written out here,
+/// apart from the library's merge. Returns the recomputed aggregate so
+/// callers can assert workload-specific expectations against it.
 ShardStats ExpectShardStatsConserve(const ShardedStats& stats);
 
 /// A batch of one kSetWeight op. `std::span` has no initializer-list

@@ -187,6 +187,114 @@ TEST_P(ShardedEngineMethodTest, PerShardCachesStayIsolated) {
   testing::ExpectShardStatsConserve(stats);
 }
 
+// The totals merge, checked against values written out by hand rather than
+// against the field list it is derived from: counters sum, the gauges take
+// the max, breaker_state the most severe state (open > half-open > closed,
+// which is not the enum's numeric order).
+TEST(ShardStatsTest, MergeSumsCountersAndTakesGaugeMaxima) {
+  ShardStats a;
+  a.queries = 10;
+  a.failures = 1;
+  a.answer_micros = 100;
+  a.updates = 3;
+  a.update_failures = 1;
+  a.rotation_clone_bytes = 4096;
+  a.enqueued_updates = 7;
+  a.coalesced_rotations = 2;
+  a.update_lag_micros = 500;
+  a.live_snapshots = 1;
+  a.certificate_version = 9;
+  a.retries = 4;
+  a.failovers = 2;
+  a.deadline_exceeded = 1;
+  a.breaker_skips = 5;
+  a.breaker_opens = 1;
+  a.breaker_state = BreakerState::kOpen;
+  a.resyncs = 2;
+  a.resync_failures = 1;
+  a.cross_group_serves = 3;
+  a.fleet_rollforwards = 1;
+  a.cache.hits = 6;
+  a.cache.misses = 4;
+  a.cache.insertions = 4;
+  a.cache.evictions = 1;
+  a.cache.cleared = 2;
+  a.cache.hit_bytes = 600;
+  a.cache.entries = 1;
+
+  ShardStats b;
+  b.queries = 20;
+  b.failures = 2;
+  b.answer_micros = 50;
+  b.updates = 3;
+  b.update_failures = 0;
+  b.rotation_clone_bytes = 1024;
+  b.enqueued_updates = 0;
+  b.coalesced_rotations = 1;
+  b.update_lag_micros = 800;
+  b.live_snapshots = 3;
+  b.certificate_version = 7;
+  b.retries = 1;
+  b.failovers = 1;
+  b.deadline_exceeded = 0;
+  b.breaker_skips = 2;
+  b.breaker_opens = 3;
+  b.breaker_state = BreakerState::kHalfOpen;
+  b.resyncs = 1;
+  b.resync_failures = 0;
+  b.cross_group_serves = 1;
+  b.fleet_rollforwards = 2;
+  b.cache.hits = 1;
+  b.cache.misses = 2;
+  b.cache.insertions = 2;
+  b.cache.evictions = 0;
+  b.cache.cleared = 1;
+  b.cache.hit_bytes = 100;
+  b.cache.entries = 1;
+
+  ShardStats totals;
+  MergeStats(totals, a);
+  MergeStats(totals, b);
+  EXPECT_EQ(totals.queries, 30u);
+  EXPECT_EQ(totals.failures, 3u);
+  EXPECT_EQ(totals.answer_micros, 150u);
+  EXPECT_EQ(totals.updates, 6u);
+  EXPECT_EQ(totals.update_failures, 1u);
+  EXPECT_EQ(totals.rotation_clone_bytes, 5120u);
+  EXPECT_EQ(totals.enqueued_updates, 7u);
+  EXPECT_EQ(totals.coalesced_rotations, 3u);
+  EXPECT_EQ(totals.update_lag_micros, 800u);
+  EXPECT_EQ(totals.live_snapshots, 3u);
+  EXPECT_EQ(totals.certificate_version, 9u);
+  EXPECT_EQ(totals.retries, 5u);
+  EXPECT_EQ(totals.failovers, 3u);
+  EXPECT_EQ(totals.deadline_exceeded, 1u);
+  EXPECT_EQ(totals.breaker_skips, 7u);
+  EXPECT_EQ(totals.breaker_opens, 4u);
+  EXPECT_EQ(totals.breaker_state, BreakerState::kOpen);
+  EXPECT_EQ(totals.resyncs, 3u);
+  EXPECT_EQ(totals.resync_failures, 1u);
+  EXPECT_EQ(totals.cross_group_serves, 4u);
+  EXPECT_EQ(totals.fleet_rollforwards, 3u);
+  EXPECT_EQ(totals.cache.hits, 7u);
+  EXPECT_EQ(totals.cache.misses, 6u);
+  EXPECT_EQ(totals.cache.insertions, 6u);
+  EXPECT_EQ(totals.cache.evictions, 1u);
+  EXPECT_EQ(totals.cache.cleared, 3u);
+  EXPECT_EQ(totals.cache.hit_bytes, 700u);
+  EXPECT_EQ(totals.cache.entries, 2u);
+
+  // Half-open outranks closed, and a later closed shard never lowers the
+  // aggregate.
+  ShardStats states;
+  ShardStats half_open;
+  half_open.breaker_state = BreakerState::kHalfOpen;
+  MergeStats(states, half_open);
+  EXPECT_EQ(states.breaker_state, BreakerState::kHalfOpen);
+  MergeStats(states, ShardStats{});
+  EXPECT_EQ(states.breaker_state, BreakerState::kHalfOpen);
+}
+
 // ---------------------------------------------------------------------------
 // Region partitioning (distinct graphs per shard)
 // ---------------------------------------------------------------------------

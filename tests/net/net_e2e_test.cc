@@ -164,6 +164,55 @@ TEST(NetE2eTest, CachedAnswersStreamWithZeroProofByteCopies) {
   EXPECT_GE(engine->GetStats().totals.cache.hits, 2u);
 }
 
+// The kStats probe exports every ServerStats counter by name, in
+// declaration order, with the server's own values. The names are written
+// out here, not taken from the field list that produces them.
+TEST(NetE2eTest, StatsProbeExportsEveryServerCounterInOrder) {
+  const auto& ctx = NetTestContext::Get();
+  auto engine = MakeEngine(2);
+  SpauthServer server(engine.get(), ctx.keys->public_key());
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient client(ctx.keys->public_key(), ClientOptions(server.port()));
+  ASSERT_TRUE(client.Connect().ok());
+  Rng rng(3);
+  for (int i = 0; i < 5; ++i) {
+    auto r = client.Query(RandomQuery(rng, ctx.graph.num_nodes()));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  auto fetched = client.FetchServerStats();
+  ASSERT_TRUE(fetched.ok()) << fetched.status().ToString();
+  // Stop before the client disconnects, so no close is booked after the
+  // probe; the only counter that moves after the snapshot is bytes_written,
+  // by the kStats reply itself.
+  server.Stop();
+  ServerStats s = server.stats();
+  s.bytes_written -= EncodeStatsFrame(fetched.value()).size();
+
+  const WireStats expected = {
+      {"conns_accepted", s.conns_accepted},
+      {"conns_closed", s.conns_closed},
+      {"conns_refused", s.conns_refused},
+      {"conns_killed", s.conns_killed},
+      {"frames_received", s.frames_received},
+      {"frames_malformed", s.frames_malformed},
+      {"queries_received", s.queries_received},
+      {"answers_ok", s.answers_ok},
+      {"answers_error", s.answers_error},
+      {"batches_dispatched", s.batches_dispatched},
+      {"proof_bytes_sent", s.proof_bytes_sent},
+      {"proof_bytes_copied", s.proof_bytes_copied},
+      {"bytes_read", s.bytes_read},
+      {"bytes_written", s.bytes_written},
+      {"backpressure_stalls", s.backpressure_stalls},
+      {"forest_paths_sent", s.forest_paths_sent},
+      {"forest_certs_sent", s.forest_certs_sent},
+  };
+  EXPECT_EQ(fetched.value(), expected);
+  EXPECT_EQ(s.answers_ok, 5u);
+  EXPECT_EQ(s.queries_received, 5u);
+}
+
 TEST(NetE2eTest, PipelinedBatchCoalescesIntoServerBatches) {
   const auto& ctx = NetTestContext::Get();
   auto engine = MakeEngine(2);

@@ -166,29 +166,12 @@ int main(int argc, char** argv) {
   server.Stop();
 
   const ServerStats s = server.stats();
-  std::printf(
-      "{\"event\": \"stats\", \"conns_accepted\": %llu, "
-      "\"conns_closed\": %llu, \"conns_refused\": %llu, "
-      "\"conns_killed\": %llu, \"frames_received\": %llu, "
-      "\"frames_malformed\": %llu, \"queries_received\": %llu, "
-      "\"answers_ok\": %llu, \"answers_error\": %llu, "
-      "\"batches_dispatched\": %llu, \"proof_bytes_sent\": %llu, "
-      "\"proof_bytes_copied\": %llu, \"bytes_read\": %llu, "
-      "\"bytes_written\": %llu, \"backpressure_stalls\": %llu}\n",
-      static_cast<unsigned long long>(s.conns_accepted),
-      static_cast<unsigned long long>(s.conns_closed),
-      static_cast<unsigned long long>(s.conns_refused),
-      static_cast<unsigned long long>(s.conns_killed),
-      static_cast<unsigned long long>(s.frames_received),
-      static_cast<unsigned long long>(s.frames_malformed),
-      static_cast<unsigned long long>(s.queries_received),
-      static_cast<unsigned long long>(s.answers_ok),
-      static_cast<unsigned long long>(s.answers_error),
-      static_cast<unsigned long long>(s.batches_dispatched),
-      static_cast<unsigned long long>(s.proof_bytes_sent),
-      static_cast<unsigned long long>(s.proof_bytes_copied),
-      static_cast<unsigned long long>(s.bytes_read),
-      static_cast<unsigned long long>(s.bytes_written),
-      static_cast<unsigned long long>(s.backpressure_stalls));
+  std::printf("{\"event\": \"stats\"");
+  ForEachStatField<ServerStats>([&](const auto& field) {
+    std::printf(", \"%.*s\": %llu", static_cast<int>(field.name.size()),
+                field.name.data(),
+                static_cast<unsigned long long>(s.*field.member));
+  });
+  std::printf("}\n");
   return 0;
 }
