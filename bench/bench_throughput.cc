@@ -25,10 +25,11 @@
 //
 // --shards N switches to the sharded serving mode: N replica engines of
 // the same network behind a hash-of-source ShardedEngine, served through
-// the zero-copy shared-bundle path, verified through the routing-aware
-// Client::VerifyShardedBatch, with per-shard stats in the JSON. Replicas
-// build identical ADSes, so the per-method answers_sha1 of a --shards N
-// run must equal a --shards 1 run's (CI asserts exactly that); with
+// the zero-copy shared-bundle path, verified through Client::VerifyBatch
+// with each message attributed to its serving shard, with per-shard stats
+// in the JSON. Replicas build identical ADSes, so the per-method
+// answers_sha1 of a --shards N run must equal a --shards 1 run's (CI
+// asserts exactly that); with
 // --proof-cache the repeat pass additionally asserts shared_ptr identity —
 // a cache hit is the same bundle object, not a copy.
 //
@@ -95,12 +96,12 @@
 //
 // --recover switches to the durable-recovery mode (DIJ): a checkpointed,
 // WAL-ing engine is crashed at --kill (one of the durability seams
-// engine/publish | wal/append | wal/fsync, or none for a clean shutdown;
-// seam kills need SPAUTH_FAILPOINTS=ON and downgrade to none otherwise),
-// recovered from disk through the authenticated verify-on-load path, and
-// byte-compared against a never-crashed twin at the durable version; a
-// second arc tears a group rotation and heals the frozen replica from its
-// sibling. The JSON's "recover" object reports recovery latency, WAL
+// engine/publish | wal/append | wal/fsync | wal/reset, or none for a clean
+// shutdown; seam kills need SPAUTH_FAILPOINTS=ON and downgrade to none
+// otherwise), recovered from disk through the authenticated verify-on-load
+// path, and byte-compared against a never-crashed twin at the durable
+// version; a second arc tears a group rotation and heals the frozen
+// replica from its sibling. The JSON's "recover" object reports recovery latency, WAL
 // replay / skip counts, torn-tail detection, the recovered digest next to
 // the twin's (CI asserts equality) and the heal counters; any divergence
 // exits non-zero. --recover-dir overrides the scratch directory.
@@ -384,13 +385,13 @@ int Run(const Config& config) {
     const double verify_total_s = verify_total.ElapsedSeconds();
 
     // Batched verification over the worker pool, one workspace per worker.
-    std::vector<std::span<const uint8_t>> wires;
-    wires.reserve(bundles.size());
-    for (const ProofBundle& bundle : bundles) {
-      wires.emplace_back(bundle.bytes);
+    std::vector<VerifyRequest> requests;
+    requests.reserve(bundles.size());
+    for (size_t i = 0; i < bundles.size(); ++i) {
+      requests.push_back({queries[i], bundles[i].bytes});
     }
     WallTimer verify_batch_total;
-    auto verify_batch = client.VerifyBatch(queries, wires, config.threads);
+    auto verify_batch = client.VerifyBatch(requests, config.threads);
     const double verify_batch_total_s = verify_batch_total.ElapsedSeconds();
     for (const WireVerification& result : verify_batch) {
       if (!result.outcome.accepted) {
@@ -594,15 +595,15 @@ int RunSharded(const Config& config) {
     }
     const double verify_total_s = verify_total.ElapsedSeconds();
 
-    // Routing-aware batch verify: workers drain whole shard groups.
-    std::vector<uint32_t> shard_of;
-    shard_of.reserve(queries.size());
-    for (const Query& q : queries) {
-      shard_of.push_back(static_cast<uint32_t>(e.RouteOf(q)));
+    // Batch verify, each message attributed to the shard that served it.
+    std::vector<VerifyRequest> requests;
+    requests.reserve(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      requests.push_back(
+          {queries[i], bundles[i]->bytes, e.RouteOf(queries[i])});
     }
     WallTimer verify_batch_total;
-    auto verify_batch =
-        client.VerifyShardedBatch(queries, bundles, shard_of, config.threads);
+    auto verify_batch = client.VerifyBatch(requests, config.threads);
     const double verify_batch_total_s = verify_batch_total.ElapsedSeconds();
     for (const WireVerification& result : verify_batch) {
       if (!result.outcome.accepted) {
@@ -664,14 +665,12 @@ int RunSharded(const Config& config) {
         path.Serialize(&w);
         encoded_paths.push_back(w.TakeBytes());
       }
-      std::vector<std::span<const uint8_t>> path_of;
-      path_of.reserve(queries.size());
-      for (uint32_t s : shard_of) {
-        path_of.push_back(encoded_paths[s]);
+      for (VerifyRequest& request : requests) {
+        request.forest_path = encoded_paths[request.shard];
       }
       const uint64_t before_batch = RsaVerifyOps();
-      auto forest_batch = forest_client.VerifyShardedBatchForest(
-          queries, bundles, path_of, shard_of, config.threads);
+      auto forest_batch =
+          forest_client.VerifyBatch(requests, config.threads);
       forest_batch_verifies = RsaVerifyOps() - before_batch;
       for (const WireVerification& result : forest_batch) {
         if (!result.outcome.accepted) {

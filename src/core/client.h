@@ -25,6 +25,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -37,7 +38,6 @@
 namespace spauth {
 
 struct VerifyWorkspace;     // core/verify_workspace.h
-struct ProofBundle;         // core/engine.h
 struct ForestCertificate;   // core/forest_certificate.h
 
 /// Result of client-side wire verification.
@@ -64,27 +64,44 @@ WireVerification VerifyWireAnswer(const RsaPublicKey& owner_key,
                                   const Query& query,
                                   std::span<const uint8_t> wire_bytes);
 
+/// Forest-mode trust anchor for one answer: the certificate is
+/// authenticated through a ForestPath to a forest root instead of its own
+/// RSA signature.
+struct ForestAnchor {
+  /// Already signature-verified by the caller (Client::
+  /// AcceptForestCertificate does, once per fleet epoch). Null means no
+  /// forest was accepted: the answer rejects as kBadCertificate, so forest
+  /// mode never silently falls back to trusting unsigned certificates.
+  const ForestCertificate* certificate = nullptr;
+  uint32_t shard = 0;                   // the shard that served the answer
+  std::span<const uint8_t> path_bytes;  // encoded ForestPath for `shard`
+};
+
 /// Fast path: decodes into and verifies out of `ws`, writing the result
 /// into `out` (whose path vector keeps its capacity across calls). The
 /// plain overload is a thin wrapper, so outcomes are identical by
 /// construction.
+///
+/// With a `forest` anchor the certificate body is authenticated through
+/// the forest root with a few hashes — NO per-answer RSA — and the answer
+/// is then verified exactly as without one. An empty or undecodable path
+/// rejects as kMalformedProof; a path that fails to reach the certified
+/// root (wrong shard, wrong epoch, tampered siblings, forged certificate)
+/// rejects as kBadCertificate.
 void VerifyWireAnswer(const RsaPublicKey& owner_key, const Query& query,
                       std::span<const uint8_t> wire_bytes,
-                      VerifyWorkspace& ws, WireVerification* out);
+                      VerifyWorkspace& ws, WireVerification* out,
+                      const ForestAnchor* forest = nullptr);
 
-/// Forest-mode fast path: `forest` must already be signature-verified by
-/// the caller (Client::AcceptForestCertificate does, once per fleet
-/// epoch). Decodes a ForestPath from `path_bytes` and the certificate
-/// from `wire_bytes`, authenticates the certificate body through the
-/// forest root with a few hashes — NO per-answer RSA — then verifies the
-/// answer exactly like VerifyWireAnswer. A path that fails to reach the
-/// certified root (wrong shard, wrong epoch, tampered siblings, forged
-/// certificate) rejects with kBadCertificate.
-void VerifyWireAnswer(const RsaPublicKey& owner_key,
-                      const ForestCertificate& forest, uint32_t shard,
-                      const Query& query, std::span<const uint8_t> wire_bytes,
-                      std::span<const uint8_t> path_bytes,
-                      VerifyWorkspace& ws, WireVerification* out);
+/// One message for Client::VerifyBatch: the arguments of Client::Verify.
+struct VerifyRequest {
+  Query query;
+  std::span<const uint8_t> wire;
+  size_t shard = 0;  // serving shard, for watermarks and the forest path
+  /// Set: forest mode, authenticated by this encoded ForestPath against
+  /// the client's accepted forest. Unset: the certificate's own signature.
+  std::optional<std::span<const uint8_t>> forest_path = std::nullopt;
+};
 
 /// A client session: the owner's public key plus a hot VerifyWorkspace for
 /// serial use. Single-threaded except VerifyBatch, which spins up its own
@@ -103,9 +120,9 @@ class Client {
   /// every later answer from shard s with version < V is rejected with
   /// kStaleCertificate — the per-shard watermark only ever moves forward,
   /// so the versions this client accepts from one shard are monotonic even
-  /// under concurrent VerifyBatch workers. Unsharded surfaces (Verify,
-  /// VerifyBatch) enforce against shard 0. Call before verifying (it
-  /// resets existing watermarks).
+  /// under concurrent VerifyBatch workers. A message attributed to no
+  /// shard counts as shard 0. Call before verifying (it resets existing
+  /// watermarks).
   void TrackShardVersions(size_t num_shards);
   bool tracking_versions() const { return watermarks_ != nullptr; }
 
@@ -140,59 +157,29 @@ class Client {
   /// Highest fleet epoch accepted so far (0 before any forest).
   uint32_t FleetEpochWatermark() const { return fleet_epoch_watermark_; }
 
-  /// Serial fast path: verifies one wire message, reusing the client's
-  /// workspace across calls.
-  WireVerification Verify(const Query& query,
-                          std::span<const uint8_t> wire_bytes);
-  /// Same, attributing the message to `shard` for watermark enforcement
-  /// (the three-argument form Verify delegates to with shard 0).
-  WireVerification Verify(const Query& query,
-                          std::span<const uint8_t> wire_bytes, size_t shard);
+  /// Verifies one wire message served by `shard`, reusing the client's
+  /// workspace across calls, then enforces that shard's watermark. With a
+  /// `forest_path` the certificate is authenticated through the accepted
+  /// forest (see ForestAnchor) instead of its own signature.
+  WireVerification Verify(
+      const Query& query, std::span<const uint8_t> wire_bytes,
+      size_t shard = 0,
+      std::optional<std::span<const uint8_t>> forest_path = std::nullopt);
 
   /// Verifies a message stream on a small internal worker pool, one reused
   /// VerifyWorkspace per worker (num_threads == 0 picks a host default).
-  /// `wire_messages` is parallel to `queries`; the result vector is
-  /// parallel to both. A count mismatch yields rejection outcomes.
+  /// Each request gets exactly the outcome Verify would give it; the
+  /// result vector is parallel to `requests`. A forest-mode batch performs
+  /// ZERO RSA operations — the one verify happened in
+  /// AcceptForestCertificate.
   std::vector<WireVerification> VerifyBatch(
-      std::span<const Query> queries,
-      std::span<const std::span<const uint8_t>> wire_messages,
-      size_t num_threads = 0) const;
-
-  /// Routing-aware batch verify for streams served by a ShardedEngine:
-  /// `shard_of[i]` names the shard that served message i, and each worker
-  /// drains whole shard groups in order, so the decode scratch and RSA
-  /// certificate state stay hot on one shard's certificate stream instead
-  /// of thrashing between shards. Bundles are consumed zero-copy through
-  /// their shared_ptr (a null bundle yields a rejection outcome).
-  /// Outcomes are identical to VerifyBatch on the same messages; only the
-  /// work order differs. All three spans must be parallel.
-  std::vector<WireVerification> VerifyShardedBatch(
-      std::span<const Query> queries,
-      std::span<const std::shared_ptr<const ProofBundle>> bundles,
-      std::span<const uint32_t> shard_of, size_t num_threads = 0) const;
-
-  /// Forest-mode serial verify: `path_bytes` is the encoded ForestPath the
-  /// provider attached for the serving shard. Requires an accepted forest
-  /// (AcceptForestCertificate); rejects with kBadCertificate otherwise —
-  /// forest mode is opt-in precisely so a client cannot silently fall back
-  /// to trusting unsigned certificates.
-  WireVerification VerifyForest(const Query& query,
-                                std::span<const uint8_t> wire_bytes,
-                                std::span<const uint8_t> path_bytes,
-                                size_t shard);
-
-  /// Forest-mode sharded batch: like VerifyShardedBatch, plus one encoded
-  /// ForestPath per message (`path_of[i]` authenticates bundle i's
-  /// certificate; the caller typically maps shard → the fleet's encoded
-  /// path). The whole batch performs ZERO RSA operations — the one verify
-  /// happened in AcceptForestCertificate.
-  std::vector<WireVerification> VerifyShardedBatchForest(
-      std::span<const Query> queries,
-      std::span<const std::shared_ptr<const ProofBundle>> bundles,
-      std::span<const std::span<const uint8_t>> path_of,
-      std::span<const uint32_t> shard_of, size_t num_threads = 0) const;
+      std::span<const VerifyRequest> requests, size_t num_threads = 0) const;
 
  private:
+  /// The one verification body behind Verify and VerifyBatch.
+  void VerifyInto(const VerifyRequest& request, VerifyWorkspace& ws,
+                  WireVerification* out) const;
+
   /// Watermark enforcement: downgrades an accepted `out` to a
   /// kStaleCertificate rejection when its version is below shard's
   /// watermark, otherwise advances the watermark (lock-free fetch-max).

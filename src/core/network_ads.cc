@@ -86,18 +86,6 @@ Status TupleSetProof::VerifyAgainstRoot(const Digest& root,
   return Status::Ok();
 }
 
-Result<std::unordered_map<NodeId, const ExtendedTuple*>>
-TupleSetProof::IndexById() const {
-  std::unordered_map<NodeId, const ExtendedTuple*> index;
-  index.reserve(tuples.size());
-  for (const ExtendedTuple& t : tuples) {
-    if (!index.emplace(t.id, &t).second) {
-      return Status::Malformed("duplicate node id in tuple proof");
-    }
-  }
-  return index;
-}
-
 Status TupleSetProof::IndexInto(uint32_t num_nodes, TupleLane* lane) const {
   lane->Prepare(num_nodes);
   for (const ExtendedTuple& t : tuples) {

@@ -6,7 +6,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/ordering.h"
@@ -50,13 +49,11 @@ struct TupleSetProof {
   Status VerifyAgainstRoot(const Digest& root, MerkleVerifyScratch& scratch,
                            ByteWriter* encode_scratch) const;
 
-  /// Index the tuples by node id (rejects duplicates).
-  Result<std::unordered_map<NodeId, const ExtendedTuple*>> IndexById() const;
-  /// Fast-path companion of IndexById: prepares `lane` for ids in
-  /// [0, num_nodes) and registers every tuple. Rejects duplicate ids (same
-  /// condition as IndexById) and ids outside the certified range (possible
-  /// only for proofs that have not passed VerifyAgainstRoot). The tuple
-  /// pointers stay valid while this proof is alive and unmodified.
+  /// Indexes the tuples by node id: prepares `lane` for ids in
+  /// [0, num_nodes) and registers every tuple. Rejects duplicate ids and
+  /// ids outside the certified range (possible only for proofs that have
+  /// not passed VerifyAgainstRoot). The tuple pointers stay valid while
+  /// this proof is alive and unmodified.
   Status IndexInto(uint32_t num_nodes, TupleLane* lane) const;
 };
 

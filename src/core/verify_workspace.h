@@ -60,12 +60,12 @@ struct VerifyWorkspace {
   HypAnswer hyp;
   ForestPath forest_path;
 
-  // Set by the forest-mode entry point ONLY, for the duration of one
-  // dispatch, after CheckForestPath proved `cert`'s body hangs off a
-  // forest root whose signature this client already verified: the method
-  // verifiers then skip the per-answer RSA VerifyCertificate (that is the
-  // entire point of the forest — one signature verify per fleet epoch).
-  // Every other entry point clears it before decoding.
+  // Set by VerifyWireAnswer ONLY when given a ForestAnchor, for the
+  // duration of one dispatch, after CheckForestPath proved `cert`'s body
+  // hangs off a forest root whose signature this client already verified:
+  // the method verifiers then skip the per-answer RSA VerifyCertificate
+  // (that is the entire point of the forest — one signature verify per
+  // fleet epoch). Every call clears it before decoding.
   bool cert_preauthenticated = false;
 };
 

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -171,18 +172,9 @@ Status NetClient::Handshake() {
         "server stopped presenting a forest certificate across reconnect");
   }
   if (info.forest_present) {
-    // The epoch's ONE RSA verify (a re-presented current epoch is free).
     // The verifier's epoch watermark is monotone across reconnects, so a
     // stale forest is refused here — a soundness refusal, never retried.
-    const uint32_t before = verifier_.FleetEpochWatermark();
-    Status accepted = verifier_.AcceptForestCertificate(info.forest);
-    if (!accepted.ok()) {
-      return accepted;
-    }
-    if (verifier_.FleetEpochWatermark() != before || !forest_mode_) {
-      stats_.forest_certs_accepted++;
-    }
-    forest_mode_ = true;
+    SPAUTH_RETURN_IF_ERROR(InstallForest(info.forest));
   }
   info_ = info;
   return Status::Ok();
@@ -258,6 +250,17 @@ Status NetClient::Refuse(Status why) {
   return why;
 }
 
+template <typename Cert>
+Status NetClient::InstallForest(const Cert& certificate) {
+  const uint32_t before = verifier_.FleetEpochWatermark();
+  SPAUTH_RETURN_IF_ERROR(verifier_.AcceptForestCertificate(certificate));
+  if (verifier_.FleetEpochWatermark() != before || !forest_mode_) {
+    stats_.forest_certs_accepted++;
+  }
+  forest_mode_ = true;
+  return Status::Ok();
+}
+
 Result<WireVerification> NetClient::VerifyAnswer(const spauth::Query& query,
                                                  const AnswerMsg& answer) {
   if (answer.status != StatusCode::kOk) {
@@ -268,33 +271,26 @@ Result<WireVerification> NetClient::VerifyAnswer(const spauth::Query& query,
     // An out-of-range shard id would silently skip watermark enforcement.
     return Refuse(Status::Malformed("answer shard id out of range"));
   }
-  WireVerification v;
-  if (forest_mode_) {
-    // A fleet rotation mid-connection ships the new epoch's certificate
-    // inline with its first answer; install it (one RSA verify) before
-    // checking the path. A bad or stale inline certificate is a soundness
-    // refusal, not a per-answer rejection.
-    if (!answer.forest_certificate.empty()) {
-      const uint32_t before = verifier_.FleetEpochWatermark();
-      Status accepted =
-          verifier_.AcceptForestCertificate(answer.forest_certificate);
-      if (!accepted.ok()) {
-        return Refuse(accepted);
-      }
-      if (verifier_.FleetEpochWatermark() != before) {
-        stats_.forest_certs_accepted++;
-      }
+  // A fleet rotation mid-connection ships the new epoch's certificate
+  // inline with its first answer; install it (one RSA verify) before
+  // checking the path. A bad or stale inline certificate is a soundness
+  // refusal, not a per-answer rejection.
+  if (forest_mode_ && !answer.forest_certificate.empty()) {
+    if (Status installed = InstallForest(answer.forest_certificate);
+        !installed.ok()) {
+      return Refuse(installed);
     }
-    // In forest mode every answer must carry its path — an answer without
-    // one would have to fall back to the per-shard signature, which the
-    // fleet no longer produces; refusing is also what stops a provider
-    // from serving unsigned certificates bare.
-    v = verifier_.VerifyForest(query, answer.proof, answer.forest_path,
-                               answer.shard);
-    stats_.forest_answers++;
-  } else {
-    v = verifier_.Verify(query, answer.proof, answer.shard);
   }
+  // In forest mode every answer is checked through its path, so an answer
+  // without one rejects: falling back to the per-shard signature would let
+  // a provider serve unsigned certificates bare.
+  std::optional<std::span<const uint8_t>> forest_path;
+  if (forest_mode_) {
+    forest_path = answer.forest_path;
+    stats_.forest_answers++;
+  }
+  const WireVerification v =
+      verifier_.Verify(query, answer.proof, answer.shard, forest_path);
   if (v.outcome.accepted) {
     stats_.answers_accepted++;
   } else {
@@ -304,26 +300,7 @@ Result<WireVerification> NetClient::VerifyAnswer(const spauth::Query& query,
 }
 
 Result<WireVerification> NetClient::Query(const spauth::Query& query) {
-  SPAUTH_RETURN_IF_ERROR(EnsureConnected());
-  QueryMsg msg;
-  msg.request_id = next_request_id_++;
-  msg.query = query;
-  stats_.queries_sent++;
-  SPAUTH_RETURN_IF_ERROR(SendBytes(EncodeQueryFrame(msg)));
-  WireFrame frame;
-  SPAUTH_RETURN_IF_ERROR(ReadFrame(&frame));
-  if (frame.type != MsgType::kAnswer) {
-    return Refuse(Status::Malformed("expected answer frame"));
-  }
-  AnswerMsg answer;
-  Status parsed = ParseAnswer(frame.payload, &answer);
-  if (!parsed.ok()) {
-    return Refuse(parsed);
-  }
-  if (answer.request_id != msg.request_id) {
-    return Refuse(Status::Malformed("answer for unexpected request id"));
-  }
-  return VerifyAnswer(query, answer);
+  return std::move(QueryBatch({&query, 1}).front());
 }
 
 std::vector<Result<WireVerification>> NetClient::QueryBatch(

@@ -144,6 +144,11 @@ class NetClient {
   Status ReadFrame(WireFrame* out);
   /// Refusal path: drop the connection, bump frames_refused, pass `why`.
   Status Refuse(Status why);
+  /// Installs a forest certificate (decoded, or the encoded bytes an
+  /// answer carries inline) as the session's epoch — one RSA verify unless
+  /// it is the epoch already pinned — and books the install.
+  template <typename Cert>
+  Status InstallForest(const Cert& certificate);
   Result<WireVerification> VerifyAnswer(const spauth::Query& query,
                                         const AnswerMsg& answer);
 

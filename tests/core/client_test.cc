@@ -169,9 +169,9 @@ TEST_F(ClientWatermarkTest, VerifyBatchEnforcesTheWatermark) {
   Client client(ctx.keys.public_key());
   client.TrackShardVersions(1);
   // New answer first, then the stale replay inside one serial batch.
-  const std::vector<Query> queries = {query_, query_};
-  const std::vector<std::span<const uint8_t>> wires = {v1_bytes_, v0_bytes_};
-  const auto results = client.VerifyBatch(queries, wires, 1);
+  const std::vector<VerifyRequest> requests = {{query_, v1_bytes_},
+                                                {query_, v0_bytes_}};
+  const auto results = client.VerifyBatch(requests, 1);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_TRUE(results[0].outcome.accepted);
   EXPECT_FALSE(results[1].outcome.accepted);

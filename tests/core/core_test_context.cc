@@ -101,6 +101,31 @@ S ExpectFieldsConserve(const S& total, const std::vector<const S*>& parts) {
 
 }  // namespace
 
+std::vector<WireVerification> ExpectBatchMatchesSerial(
+    const Client& batch, Client& serial,
+    std::span<const VerifyRequest> requests, size_t num_threads) {
+  std::vector<WireVerification> results =
+      batch.VerifyBatch(requests, num_threads);
+  EXPECT_EQ(results.size(), requests.size());
+  for (size_t i = 0; i < std::min(results.size(), requests.size()); ++i) {
+    const VerifyRequest& r = requests[i];
+    const WireVerification want =
+        serial.Verify(r.query, r.wire, r.shard, r.forest_path);
+    const WireVerification& got = results[i];
+    EXPECT_EQ(got.outcome.accepted, want.outcome.accepted) << i;
+    EXPECT_EQ(got.outcome.failure, want.outcome.failure)
+        << i << ": " << got.outcome.ToString() << " vs "
+        << want.outcome.ToString();
+    EXPECT_EQ(got.method, want.method) << i;
+    EXPECT_EQ(got.version, want.version) << i;
+    EXPECT_EQ(got.degraded, want.degraded) << i;
+    EXPECT_EQ(got.staleness, want.staleness) << i;
+    EXPECT_EQ(got.path, want.path) << i;
+    EXPECT_EQ(got.distance, want.distance) << i;
+  }
+  return results;
+}
+
 ShardStats ExpectShardStatsConserve(const ShardedStats& stats) {
   std::vector<const ShardStats*> shards;
   for (const ShardStats& s : stats.shards) {

@@ -5,8 +5,10 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "core/client.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "crypto/rsa.h"
@@ -37,6 +39,14 @@ struct CoreTestContext {
 /// apart from the library's merge. Returns the recomputed aggregate so
 /// callers can assert workload-specific expectations against it.
 ShardStats ExpectShardStatsConserve(const ShardedStats& stats);
+
+/// Verifies `requests` through `batch.VerifyBatch(requests, num_threads)`
+/// and, in request order, through `serial.Verify` — `serial` being a second
+/// client set up exactly like `batch` — and asserts the two agree request
+/// by request on every WireVerification field. Returns the batch results.
+std::vector<WireVerification> ExpectBatchMatchesSerial(
+    const Client& batch, Client& serial,
+    std::span<const VerifyRequest> requests, size_t num_threads);
 
 /// A batch of one kSetWeight op. `std::span` has no initializer-list
 /// constructor, so single re-weight call sites pass this array instead.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/client_search.h"
 #include "core/core_test_context.h"
 #include "graph/dijkstra.h"
 #include "testutil.h"
@@ -35,13 +36,14 @@ TEST(DijMethodTest, ProofContainsExactlyTheLemma1Ball) {
   ASSERT_TRUE(answer.ok());
   // Every node with dist(vs, v) <= dist(vs, vt) is present (Lemma 1).
   DijkstraTree tree = DijkstraAll(ctx.graph, q.source);
-  auto index = answer.value().subgraph.IndexById();
-  ASSERT_TRUE(index.ok());
+  TupleLane index;
+  ASSERT_TRUE(
+      answer.value().subgraph.IndexInto(ctx.graph.num_nodes(), &index).ok());
   size_t in_ball = 0;
   for (NodeId v = 0; v < ctx.graph.num_nodes(); ++v) {
     if (tree.dist[v] <= answer.value().distance) {
       ++in_ball;
-      EXPECT_TRUE(index.value().contains(v)) << "ball node " << v << " missing";
+      EXPECT_NE(index.Find(v), nullptr) << "ball node " << v << " missing";
     }
   }
   // ...and not much more than the ball (only the provider slack band).

@@ -270,8 +270,8 @@ TEST_P(ForestFleetTest, HonestAnswersVerifyThroughTheForestWithZeroRsa) {
     const size_t shard = engine->RouteOf(q);
     auto answer = engine->Answer(q);
     ASSERT_TRUE(answer.ok());
-    const WireVerification v = client.VerifyForest(
-        q, answer.value()->bytes, fleet->encoded_paths[shard], shard);
+    const WireVerification v = client.Verify(
+        q, answer.value()->bytes, shard, fleet->encoded_paths[shard]);
     EXPECT_TRUE(v.outcome.accepted) << v.outcome.ToString();
   }
   EXPECT_EQ(RsaVerifyOps(), verifies_at_epoch);
@@ -294,36 +294,41 @@ TEST_P(ForestFleetTest, ForestTamperMatrixNeverFalselyAccepts) {
   const std::vector<uint8_t>& path = fleet->encoded_paths[shard];
 
   // Baseline: the genuine quadruple accepts.
-  ASSERT_TRUE(client.VerifyForest(q, wire, path, shard).outcome.accepted);
+  ASSERT_TRUE(client.Verify(q, wire, shard, path).outcome.accepted);
 
   // Path for the wrong shard (the genuine path of another shard).
   const size_t other = (shard + 1) % engine->num_groups();
   WireVerification v =
-      client.VerifyForest(q, wire, fleet->encoded_paths[other], shard);
+      client.Verify(q, wire, shard, fleet->encoded_paths[other]);
   EXPECT_FALSE(v.outcome.accepted);
   EXPECT_EQ(v.outcome.failure, VerifyFailure::kBadCertificate);
 
   // Answer claimed to come from a shard its path does not belong to.
-  v = client.VerifyForest(q, wire, path, other);
+  v = client.Verify(q, wire, other, path);
   EXPECT_FALSE(v.outcome.accepted);
 
   // Swapped / corrupted sibling bytes inside the encoded path.
   std::vector<uint8_t> corrupt(path);
   corrupt.back() ^= 0x01;
-  v = client.VerifyForest(q, wire, corrupt, shard);
+  v = client.Verify(q, wire, shard, corrupt);
   EXPECT_FALSE(v.outcome.accepted);
   EXPECT_EQ(v.outcome.failure, VerifyFailure::kBadCertificate);
 
   // Truncated path bytes.
   const std::span<const uint8_t> truncated(path.data(), path.size() - 1);
-  v = client.VerifyForest(q, wire, truncated, shard);
+  v = client.Verify(q, wire, shard, truncated);
   EXPECT_FALSE(v.outcome.accepted);
+
+  // An empty path is still a forest request: it never falls back to the
+  // certificate's own signature.
+  v = client.Verify(q, wire, shard, std::span<const uint8_t>());
+  EXPECT_EQ(v.outcome.failure, VerifyFailure::kMalformedProof);
 
   // Forged shard certificate: flip a byte inside the certificate region of
   // the wire message — the forest leaf no longer matches its digest.
   std::vector<uint8_t> forged(wire.begin(), wire.end());
   forged[8] ^= 0x01;
-  v = client.VerifyForest(q, forged, path, shard);
+  v = client.Verify(q, forged, shard, path);
   EXPECT_FALSE(v.outcome.accepted);
 
   // Signature from a different epoch: rotate the fleet (epoch 2), keep the
@@ -343,16 +348,16 @@ TEST_P(ForestFleetTest, ForestTamperMatrixNeverFalselyAccepts) {
   ASSERT_EQ(fleet2->certificate.params.fleet_epoch, 2u);
   auto answer2 = engine->Answer(q);
   ASSERT_TRUE(answer2.ok());
-  v = client.VerifyForest(q, answer2.value()->bytes,
-                          fleet2->encoded_paths[shard], shard);
+  v = client.Verify(q, answer2.value()->bytes, shard,
+                    fleet2->encoded_paths[shard]);
   EXPECT_FALSE(v.outcome.accepted);
   EXPECT_EQ(v.outcome.failure, VerifyFailure::kBadCertificate);
 
   // After accepting epoch 2 the same answer verifies; replaying epoch 1's
   // forest afterwards is refused as stale.
   ASSERT_TRUE(client.AcceptForestCertificate(fleet2->certificate).ok());
-  v = client.VerifyForest(q, answer2.value()->bytes,
-                          fleet2->encoded_paths[shard], shard);
+  v = client.Verify(q, answer2.value()->bytes, shard,
+                    fleet2->encoded_paths[shard]);
   EXPECT_TRUE(v.outcome.accepted) << v.outcome.ToString();
   EXPECT_FALSE(client.AcceptForestCertificate(fleet->certificate).ok());
 }
@@ -364,23 +369,19 @@ TEST_P(ForestFleetTest, ShardedBatchPaysOneRsaVerifyPerEpoch) {
   ASSERT_NE(fleet, nullptr);
 
   auto bundles = engine->AnswerBatch(ctx.queries);
-  std::vector<std::shared_ptr<const ProofBundle>> shared;
-  std::vector<std::span<const uint8_t>> path_of;
-  std::vector<uint32_t> shard_of;
+  std::vector<VerifyRequest> requests;
   for (size_t i = 0; i < ctx.queries.size(); ++i) {
     ASSERT_TRUE(bundles[i].ok());
     const size_t shard = engine->RouteOf(ctx.queries[i]);
-    shared.push_back(bundles[i].value());
-    path_of.push_back(fleet->encoded_paths[shard]);
-    shard_of.push_back(static_cast<uint32_t>(shard));
+    requests.push_back({ctx.queries[i], bundles[i].value()->bytes, shard,
+                        fleet->encoded_paths[shard]});
   }
 
   Client client(ctx.keys.public_key());
   client.TrackShardVersions(engine->num_groups());
   const uint64_t verifies_before = RsaVerifyOps();
   ASSERT_TRUE(client.AcceptForestCertificate(fleet->certificate).ok());
-  const auto results =
-      client.VerifyShardedBatchForest(ctx.queries, shared, path_of, shard_of);
+  const auto results = client.VerifyBatch(requests);
   // The whole batch — accept included — cost exactly ONE RSA verify.
   EXPECT_EQ(RsaVerifyOps() - verifies_before, 1u);
   ASSERT_EQ(results.size(), ctx.queries.size());
@@ -476,8 +477,8 @@ TEST_P(ForestFleetTest, PartialRotationFailureRollsTheFleetForward) {
     auto answer = engine->Answer(q);
     ASSERT_TRUE(answer.ok());
     EXPECT_TRUE(client
-                    .VerifyForest(q, answer.value()->bytes,
-                                  fleet->encoded_paths[shard], shard)
+                    .Verify(q, answer.value()->bytes, shard,
+                            fleet->encoded_paths[shard])
                     .outcome.accepted);
   }
 }
@@ -520,8 +521,8 @@ TEST(ForestFleetEdgeTest, ClientWithoutAcceptedForestRefusesForestAnswers) {
   ASSERT_TRUE(answer.ok());
 
   Client client(ctx.keys.public_key());
-  const WireVerification v = client.VerifyForest(
-      q, answer.value()->bytes, fleet->encoded_paths[shard], shard);
+  const WireVerification v = client.Verify(
+      q, answer.value()->bytes, shard, fleet->encoded_paths[shard]);
   EXPECT_FALSE(v.outcome.accepted);
   EXPECT_EQ(v.outcome.failure, VerifyFailure::kBadCertificate);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/client_search.h"
 #include "core/core_test_context.h"
 #include "graph/dijkstra.h"
 
@@ -88,15 +89,16 @@ TEST(HypMethodTest, ProofCoversBothCellsAndAllBorderPairs) {
   const Query q = ctx.queries[0];
   auto answer = provider.Answer(q);
   ASSERT_TRUE(answer.ok());
-  auto index = answer.value().tuples.IndexById();
-  ASSERT_TRUE(index.ok());
+  TupleLane index;
+  ASSERT_TRUE(
+      answer.value().tuples.IndexInto(ctx.graph.num_nodes(), &index).ok());
   const uint32_t cell_s = part.CellOf(q.source);
   const uint32_t cell_t = part.CellOf(q.target);
   for (NodeId v : part.NodesInCell(cell_s)) {
-    EXPECT_TRUE(index.value().contains(v));
+    EXPECT_NE(index.Find(v), nullptr);
   }
   for (NodeId v : part.NodesInCell(cell_t)) {
-    EXPECT_TRUE(index.value().contains(v));
+    EXPECT_NE(index.Find(v), nullptr);
   }
   if (cell_s != cell_t) {
     const size_t expected_pairs = part.BordersOfCell(cell_s).size() *

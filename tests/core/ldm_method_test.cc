@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/client_search.h"
 #include "core/core_test_context.h"
 #include "graph/dijkstra.h"
 
@@ -54,19 +55,20 @@ TEST(LdmMethodTest, SubgraphCoversTheLemma2SearchSpace) {
   const Query q = ctx.queries[0];
   auto answer = provider.Answer(q);
   ASSERT_TRUE(answer.ok());
-  auto index = answer.value().subgraph.IndexById();
-  ASSERT_TRUE(index.ok());
+  TupleLane index;
+  ASSERT_TRUE(
+      answer.value().subgraph.IndexInto(ctx.graph.num_nodes(), &index).ok());
   // All path nodes and both endpoints are present.
   for (NodeId v : answer.value().path.nodes) {
-    EXPECT_TRUE(index.value().contains(v));
+    EXPECT_NE(index.Find(v), nullptr);
   }
   // Every compressed tuple's representative is resolvable.
   for (const ExtendedTuple& t : answer.value().subgraph.tuples) {
     ASSERT_TRUE(t.has_landmark_data);
     if (!t.is_representative) {
-      auto it = index.value().find(t.ref_node);
-      ASSERT_NE(it, index.value().end()) << "rep of " << t.id << " missing";
-      EXPECT_TRUE(it->second->is_representative);
+      const ExtendedTuple* rep = index.Find(t.ref_node);
+      ASSERT_NE(rep, nullptr) << "rep of " << t.id << " missing";
+      EXPECT_TRUE(rep->is_representative);
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/client_search.h"
+
 #include "testutil.h"
 
 namespace spauth {
@@ -58,9 +60,9 @@ TEST(NetworkAdsTest, ProveAndVerifyTupleSets) {
   ASSERT_TRUE(proof.ok());
   EXPECT_EQ(proof.value().tuples.size(), 4u);
   EXPECT_TRUE(proof.value().VerifyAgainstRoot(ads.root()).ok());
-  auto index = proof.value().IndexById();
-  ASSERT_TRUE(index.ok());
-  EXPECT_TRUE(index.value().contains(199));
+  TupleLane index;
+  ASSERT_TRUE(proof.value().IndexInto(g.num_nodes(), &index).ok());
+  EXPECT_NE(index.Find(199), nullptr);
 }
 
 TEST(NetworkAdsTest, SerializationRoundTripVerifies) {
@@ -111,7 +113,8 @@ TEST(NetworkAdsTest, DuplicateNodeIdRejectedByIndex) {
   ASSERT_TRUE(proof.ok());
   TupleSetProof tampered = proof.value();
   tampered.tuples[1] = tampered.tuples[0];  // same id twice
-  EXPECT_FALSE(tampered.IndexById().ok());
+  TupleLane index;
+  EXPECT_FALSE(tampered.IndexInto(g.num_nodes(), &index).ok());
 }
 
 TEST(NetworkAdsTest, ProveRejectsInvalidInput) {

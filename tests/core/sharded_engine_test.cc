@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "adversary/tamper.h"
@@ -22,6 +23,7 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::ExpectBatchMatchesSerial;
 using testing::OneSetWeight;
 
 std::unique_ptr<ShardedEngine> MakeSharded(MethodKind kind, size_t shards,
@@ -405,46 +407,65 @@ TEST_P(ShardedTamperTest, WireAndAdsTampersRejectThroughEveryShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing-aware batch verification
+// Batch verification across the fleet
 // ---------------------------------------------------------------------------
 
-TEST_P(ShardedEngineMethodTest, VerifyShardedBatchMatchesVerifyBatch) {
+TEST_P(ShardedEngineMethodTest, ShardedBatchMatchesSerialVerify) {
   const auto& ctx = CoreTestContext::Get();
-  auto sharded = MakeSharded(GetParam(), 3);
-  std::vector<std::shared_ptr<const ProofBundle>> bundles;
-  std::vector<std::span<const uint8_t>> wires;
-  std::vector<uint32_t> shard_of;
-  for (const Query& q : ctx.queries) {
-    auto answer = sharded->Answer(q);
-    ASSERT_TRUE(answer.ok());
-    bundles.push_back(std::move(answer).value());
-    wires.emplace_back(bundles.back()->bytes);
-    shard_of.push_back(static_cast<uint32_t>(sharded->RouteOf(q)));
-  }
-  Client client(ctx.keys.public_key());
-  auto grouped = client.VerifyShardedBatch(ctx.queries, bundles, shard_of, 2);
-  auto flat = client.VerifyBatch(ctx.queries, wires, 2);
-  ASSERT_EQ(grouped.size(), flat.size());
-  for (size_t i = 0; i < grouped.size(); ++i) {
-    EXPECT_EQ(grouped[i].outcome.accepted, flat[i].outcome.accepted) << i;
-    EXPECT_TRUE(grouped[i].outcome.accepted) << i;
-    EXPECT_EQ(grouped[i].distance, flat[i].distance) << i;
-    EXPECT_EQ(grouped[i].path.nodes, flat[i].path.nodes) << i;
-  }
+  // {fleet size, batch threads}: the batch fans out over messages, so a
+  // 1-shard fleet still verifies on every worker.
+  for (const auto& [num_shards, num_threads] :
+       {std::pair<size_t, size_t>{3, 2}, std::pair<size_t, size_t>{1, 4}}) {
+    auto sharded = MakeSharded(GetParam(), num_shards);
+    ASSERT_TRUE(sharded->EnableForestCertificates(ctx.keys).ok());
+    const auto fleet = sharded->forest();
+    ASSERT_NE(fleet, nullptr);
+    std::vector<std::shared_ptr<const ProofBundle>> bundles;
+    std::vector<VerifyRequest> requests;
+    for (size_t i = 0; i < ctx.queries.size(); ++i) {
+      const Query& q = ctx.queries[i];
+      auto answer = sharded->Answer(q);
+      ASSERT_TRUE(answer.ok());
+      bundles.push_back(std::move(answer).value());
+      const size_t shard = sharded->RouteOf(q);
+      requests.push_back({q, bundles.back()->bytes, shard});
+      // Forest and signature requests alternate across the fleet.
+      if (i % 2 == 0) {
+        requests.back().forest_path = fleet->encoded_paths[shard];
+      }
+    }
+    const size_t honest = requests.size();
+    const Query q = ctx.queries[0];
+    const size_t shard = sharded->RouteOf(q);
+    // A missing bundle arrives as an empty wire: a per-message rejection,
+    // not a crash or a batch abort.
+    requests.push_back({q, {}, shard});
+    // An out-of-range shard skips the watermark on a signature request;
+    // its forest path cannot match it.
+    requests.push_back({q, bundles[0]->bytes, num_shards});
+    requests.push_back(
+        {q, bundles[0]->bytes, num_shards, fleet->encoded_paths[shard]});
 
-  // A null bundle is a per-message rejection, not a crash or a batch abort.
-  bundles[0] = nullptr;
-  auto with_hole = client.VerifyShardedBatch(ctx.queries, bundles, shard_of);
-  EXPECT_FALSE(with_hole[0].outcome.accepted);
-  for (size_t i = 1; i < with_hole.size(); ++i) {
-    EXPECT_TRUE(with_hole[i].outcome.accepted) << i;
-  }
-
-  // Mismatched spans reject everything.
-  std::vector<uint32_t> short_map(shard_of.begin(), shard_of.end() - 1);
-  for (const WireVerification& r :
-       client.VerifyShardedBatch(ctx.queries, bundles, short_map)) {
-    EXPECT_FALSE(r.outcome.accepted);
+    const auto make_client = [&] {
+      Client client(ctx.keys.public_key());
+      client.TrackShardVersions(num_shards);
+      EXPECT_TRUE(client.AcceptForestCertificate(fleet->certificate).ok());
+      return client;
+    };
+    const Client batch = make_client();
+    Client serial = make_client();
+    const auto results =
+        ExpectBatchMatchesSerial(batch, serial, requests, num_threads);
+    ASSERT_EQ(results.size(), honest + 3);
+    for (size_t i = 0; i < honest; ++i) {
+      EXPECT_TRUE(results[i].outcome.accepted)
+          << i << ": " << results[i].outcome.ToString();
+    }
+    EXPECT_EQ(results[honest].outcome.failure,
+              VerifyFailure::kMalformedProof);
+    EXPECT_TRUE(results[honest + 1].outcome.accepted);
+    EXPECT_EQ(results[honest + 2].outcome.failure,
+              VerifyFailure::kBadCertificate);
   }
 }
 

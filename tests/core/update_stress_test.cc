@@ -151,18 +151,18 @@ TEST(UpdateStressTest, ServingStaysSoundWhileWritersRotateSnapshots) {
           ++extra;
         }
         auto bundles = engine.AnswerBatch(queries, 2);
-        std::vector<std::span<const uint8_t>> wires;
-        wires.reserve(bundles.size());
-        for (const auto& b : bundles) {
-          if (!b.ok()) {
+        std::vector<VerifyRequest> requests;
+        requests.reserve(bundles.size());
+        for (size_t i = 0; i < bundles.size(); ++i) {
+          requests.push_back({queries[i], {}});
+          if (!bundles[i].ok()) {
             answer_failures.fetch_add(1);
-            wires.emplace_back();  // empty wire -> malformed rejection
-            continue;
+            continue;  // empty wire -> malformed rejection
           }
-          wires.emplace_back(b.value().bytes);
+          requests.back().wire = bundles[i].value().bytes;
         }
         const std::vector<WireVerification> results =
-            client.VerifyBatch(queries, wires, 2);
+            client.VerifyBatch(requests, 2);
         uint32_t round_min = 0xffffffffu;
         uint32_t round_max = 0;
         for (size_t i = 0; i < results.size(); ++i) {

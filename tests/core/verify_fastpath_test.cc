@@ -18,6 +18,8 @@ namespace spauth {
 namespace {
 
 using testing::CoreTestContext;
+using testing::ExpectBatchMatchesSerial;
+using testing::OneSetWeight;
 
 class VerifyFastPathTest : public ::testing::TestWithParam<MethodKind> {};
 
@@ -151,47 +153,80 @@ INSTANTIATE_TEST_SUITE_P(AllMethods, VerifyFastPathTest,
 
 TEST(ClientBatchTest, VerifyBatchMatchesSerialAcrossMethods) {
   const auto& ctx = CoreTestContext::Get();
-  Client client(ctx.keys.public_key());
-  std::vector<Query> queries;
   std::vector<std::vector<uint8_t>> storage;
   for (MethodKind method : kAllMethods) {
     auto engine = ctx.MakeMethodEngine(method);
     for (size_t i = 0; i < 3; ++i) {
       auto bundle = engine->Answer(ctx.queries[i]);
       ASSERT_TRUE(bundle.ok());
-      queries.push_back(ctx.queries[i]);
       storage.push_back(std::move(bundle.value().bytes));
     }
   }
-  std::vector<std::span<const uint8_t>> wires(storage.begin(),
-                                              storage.end());
   // Corrupt one message: the batch must reject exactly that slot.
   storage[5][storage[5].size() / 2] ^= 0x20;
 
-  for (size_t num_threads : {size_t{1}, size_t{3}}) {
-    auto results = client.VerifyBatch(queries, wires, num_threads);
-    ASSERT_EQ(results.size(), queries.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      WireVerification serial = client.Verify(queries[i], wires[i]);
-      EXPECT_EQ(results[i].outcome.accepted, serial.outcome.accepted) << i;
-      EXPECT_EQ(results[i].outcome.failure, serial.outcome.failure) << i;
-      EXPECT_EQ(results[i].path, serial.path) << i;
-      EXPECT_EQ(results[i].distance, serial.distance) << i;
+  // Three certificate versions of one DIJ answer. Shard 3's watermark is
+  // primed at v2 before every batch, so under a staleness bound of 1 the
+  // v1 answer is a degraded accept and the v0 answer a stale rejection,
+  // whatever order the workers take.
+  const Query q = ctx.queries[0];
+  std::vector<std::vector<uint8_t>> versions;
+  auto dij = ctx.MakeMethodEngine(MethodKind::kDij);
+  for (double scale : {1.0, 2.0, 3.0}) {
+    if (scale != 1.0) {
+      const Edge e = ctx.graph.Neighbors(q.source).front();
+      ASSERT_TRUE(dij->ApplyUpdates(&ctx.keys, OneSetWeight(q.source, e.to,
+                                                            e.weight * scale))
+                      .ok());
+    }
+    auto bundle = dij->Answer(q);
+    ASSERT_TRUE(bundle.ok());
+    versions.push_back(std::move(bundle.value().bytes));
+  }
+  constexpr size_t kTrackedShards = 4;
+  const auto make_client = [&] {
+    Client client(ctx.keys.public_key());
+    client.TrackShardVersions(kTrackedShards);
+    client.SetStalenessBound(1);
+    EXPECT_TRUE(client.Verify(q, versions[2], 3).outcome.accepted);
+    return client;
+  };
+
+  std::vector<VerifyRequest> requests;
+  for (size_t i = 0; i < storage.size(); ++i) {
+    // Message i answers query i % 3; it is attributed to shard i % 3.
+    requests.push_back({ctx.queries[i % 3], storage[i], i % 3});
+  }
+  const size_t honest = requests.size();
+  requests.push_back({q, versions[1], 3});  // degraded accept
+  requests.push_back({q, versions[0], 3});  // beyond the staleness bound
+  requests.push_back({q, versions[0], kTrackedShards});  // untracked shard
+  requests.push_back({q, {}, 0});                        // empty wire
+  // A forest request before any forest was accepted never falls back to
+  // the certificate's own signature.
+  requests.push_back({q, versions[2], 0, storage[0]});
+  const VerifyFailure extra_failures[] = {
+      VerifyFailure::kNone, VerifyFailure::kStaleCertificate,
+      VerifyFailure::kNone, VerifyFailure::kMalformedProof,
+      VerifyFailure::kBadCertificate};
+
+  for (size_t num_threads : {size_t{1}, size_t{3}, size_t{4}}) {
+    const Client batch = make_client();
+    Client serial = make_client();
+    const auto results =
+        ExpectBatchMatchesSerial(batch, serial, requests, num_threads);
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t i = 0; i < honest; ++i) {
       EXPECT_EQ(results[i].outcome.accepted, i != 5) << i;
     }
-  }
-}
-
-TEST(ClientBatchTest, CountMismatchYieldsRejections) {
-  const auto& ctx = CoreTestContext::Get();
-  Client client(ctx.keys.public_key());
-  std::vector<Query> queries = {ctx.queries[0], ctx.queries[1]};
-  std::vector<std::span<const uint8_t>> wires;  // empty: mismatched
-  auto results = client.VerifyBatch(queries, wires);
-  ASSERT_EQ(results.size(), 2u);
-  for (const WireVerification& r : results) {
-    EXPECT_FALSE(r.outcome.accepted);
-    EXPECT_EQ(r.outcome.failure, VerifyFailure::kMalformedProof);
+    for (size_t j = 0; j < std::size(extra_failures); ++j) {
+      EXPECT_EQ(results[honest + j].outcome.failure, extra_failures[j])
+          << j << ": " << results[honest + j].outcome.ToString();
+    }
+    const WireVerification& degraded = results[honest];
+    EXPECT_TRUE(degraded.degraded);
+    EXPECT_EQ(degraded.staleness, 1u);
+    EXPECT_EQ(batch.ShardVersionWatermark(3), 2u);
   }
 }
 
