@@ -104,7 +104,9 @@ BENCHMARK(BM_DijkstraReusedWorkspace)->Arg(500)->Arg(2000);
 // Verification-side counterpart of the Dijkstra pair: the same short-range
 // wire answers verified with a fresh VerifyWorkspace per message (what the
 // wrapper pays: allocate + fill O(V) lanes, decode into fresh vectors, a
-// fresh tuple map) versus one workspace reused across the stream.
+// fresh tuple map, and an RSA verify per message) versus one workspace
+// reused across the stream (whose certificate memo also leaves one RSA
+// verify for the whole stream).
 struct VerifyBenchSetup {
   std::unique_ptr<MethodEngine> engine;
   RsaPublicKey owner_key;

@@ -764,7 +764,7 @@ int RunSharded(const Config& config) {
     PrintJsonStats("answer_repeat", Summarize(repeat_ms, repeat_total_s),
                    true);
     PrintJsonStats("verify", Summarize(verify_ms, verify_total_s), true);
-    std::printf("      \"verify_sharded_batch\": {\"qps\": %.1f},\n",
+    std::printf("      \"verify_batch\": {\"qps\": %.1f},\n",
                 verify_batch_total_s > 0
                     ? static_cast<double>(queries.size()) /
                           verify_batch_total_s

@@ -14,6 +14,31 @@
 
 namespace spauth {
 
+namespace {
+
+// Signature mode: authenticates `ws.cert` (decoded from `cert_bytes`) by
+// its RSA signature, or for free when the bytes and the key match the
+// workspace's memo. A certificate that verifies becomes the new memo.
+bool AuthenticateBySignature(const RsaPublicKey& owner_key,
+                             std::span<const uint8_t> cert_bytes,
+                             VerifyWorkspace& ws) {
+  const bool memo_hit = std::ranges::equal(cert_bytes, ws.memo_cert) &&
+                        ws.memo_key.modulus == owner_key.modulus &&
+                        ws.memo_key.public_exponent ==
+                            owner_key.public_exponent;
+  if (!memo_hit) {
+    if (!VerifyCertificate(owner_key, ws.cert)) {
+      return false;
+    }
+    ws.memo_cert.assign(cert_bytes.begin(), cert_bytes.end());
+    ws.memo_key = owner_key;
+  }
+  ws.cert_authenticated = true;
+  return true;
+}
+
+}  // namespace
+
 WireVerification VerifyWireAnswer(const RsaPublicKey& owner_key,
                                   const Query& query,
                                   std::span<const uint8_t> wire_bytes) {
@@ -33,7 +58,7 @@ void VerifyWireAnswer(const RsaPublicKey& owner_key, const Query& query,
   out->staleness = 0;
   out->path.nodes.clear();
   out->distance = 0;
-  ws.cert_preauthenticated = false;
+  ws.cert_authenticated = false;
   const auto reject = [out](VerifyFailure failure, std::string why) {
     out->outcome = VerifyOutcome::Reject(failure, std::move(why));
   };
@@ -63,6 +88,8 @@ void VerifyWireAnswer(const RsaPublicKey& owner_key, const Query& query,
     return reject(VerifyFailure::kMalformedProof,
                   "certificate decode failed");
   }
+  const std::span<const uint8_t> cert_bytes =
+      wire_bytes.first(reader.position());
   if (forest != nullptr) {
     // A few hashes authenticate the certificate body against the forest
     // root, whose signature the caller verified once for the whole epoch
@@ -73,7 +100,7 @@ void VerifyWireAnswer(const RsaPublicKey& owner_key, const Query& query,
         !s.ok()) {
       return reject(VerifyFailure::kBadCertificate, s.message());
     }
-    ws.cert_preauthenticated = true;
+    ws.cert_authenticated = true;
   }
   out->method = ws.cert.params.method;
   out->version = ws.cert.params.version;
@@ -88,9 +115,16 @@ void VerifyWireAnswer(const RsaPublicKey& owner_key, const Query& query,
     }
     out->path.nodes.assign(answer.path.nodes.begin(), answer.path.nodes.end());
     out->distance = answer.distance;
+    // The signature check sits where each verifier's own would run, so a
+    // rejection reads exactly as the verifier's.
+    if (forest == nullptr &&
+        !AuthenticateBySignature(owner_key, cert_bytes, ws)) {
+      return reject(VerifyFailure::kBadCertificate,
+                    "certificate invalid or wrong method");
+    }
     out->outcome = M::Verify(owner_key, ws.cert, query, answer, ws);
   });
-  ws.cert_preauthenticated = false;
+  ws.cert_authenticated = false;
 }
 
 Client::Client(RsaPublicKey owner_key)
@@ -118,8 +152,12 @@ uint32_t Client::ShardVersionWatermark(size_t shard) const {
 }
 
 void Client::ApplyWatermark(size_t shard, WireVerification* out) const {
-  if (watermarks_ == nullptr || shard >= num_tracked_shards_ ||
-      !out->outcome.accepted) {
+  if (watermarks_ == nullptr || !out->outcome.accepted) {
+    return;
+  }
+  if (shard >= num_tracked_shards_) {
+    out->outcome = VerifyOutcome::Reject(VerifyFailure::kMalformedProof,
+                                         "answer shard id out of range");
     return;
   }
   std::atomic<uint32_t>& mark = watermarks_[shard];

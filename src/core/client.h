@@ -11,7 +11,10 @@
 // a VerifyWorkspace pools every decode/replay/search buffer so a hot
 // client verifies a message stream with near-zero steady-state
 // allocations, and Client::VerifyBatch fans a stream over a worker pool
-// with one workspace per worker.
+// with one workspace per worker. The owner signs once per ADS version
+// (Section III), and a workspace remembers the last certificate it
+// verified, so a stream pays one RSA verify per certificate version per
+// workspace, not one per answer.
 //
 // Freshness: the paper's owner re-signs a bumped-version certificate
 // after every update but leaves "accept only fresh certificates" as an
@@ -82,6 +85,10 @@ struct ForestAnchor {
 /// plain overload is a thin wrapper, so outcomes are identical by
 /// construction.
 ///
+/// Without a `forest` anchor the certificate's RSA signature is checked
+/// only when its encoded bytes or `owner_key` differ from the last
+/// certificate that verified in `ws` (the workspace's certificate memo).
+///
 /// With a `forest` anchor the certificate body is authenticated through
 /// the forest root with a few hashes — NO per-answer RSA — and the answer
 /// is then verified exactly as without one. An empty or undecodable path
@@ -121,8 +128,10 @@ class Client {
   /// kStaleCertificate — the per-shard watermark only ever moves forward,
   /// so the versions this client accepts from one shard are monotonic even
   /// under concurrent VerifyBatch workers. A message attributed to no
-  /// shard counts as shard 0. Call before verifying (it resets existing
-  /// watermarks).
+  /// shard counts as shard 0; an accepted answer attributed to a shard at
+  /// or beyond `num_shards` is rejected as kMalformedProof, since it would
+  /// otherwise escape every watermark. Call before verifying (it resets
+  /// existing watermarks).
   void TrackShardVersions(size_t num_shards);
   bool tracking_versions() const { return watermarks_ != nullptr; }
 
@@ -139,7 +148,8 @@ class Client {
   }
   uint32_t staleness_bound() const { return staleness_bound_; }
   /// Highest certificate version accepted so far from `shard` (0 when
-  /// nothing was accepted yet or tracking is off/out of range).
+  /// nothing was accepted yet, tracking is off, or `shard` is untracked —
+  /// no answer is ever accepted from an untracked shard while tracking).
   uint32_t ShardVersionWatermark(size_t shard) const;
 
   /// Forest trust anchor: verifies the forest certificate's RSA signature
@@ -169,8 +179,10 @@ class Client {
   /// Verifies a message stream on a small internal worker pool, one reused
   /// VerifyWorkspace per worker (num_threads == 0 picks a host default).
   /// Each request gets exactly the outcome Verify would give it; the
-  /// result vector is parallel to `requests`. A forest-mode batch performs
-  /// ZERO RSA operations — the one verify happened in
+  /// result vector is parallel to `requests`. The certificate memo lives
+  /// in each worker's workspace, so a signature-mode batch pays at most one
+  /// RSA verify per certificate version per worker. A forest-mode batch
+  /// performs ZERO RSA operations — the one verify happened in
   /// AcceptForestCertificate.
   std::vector<WireVerification> VerifyBatch(
       std::span<const VerifyRequest> requests, size_t num_threads = 0) const;
@@ -183,7 +195,8 @@ class Client {
   /// Watermark enforcement: downgrades an accepted `out` to a
   /// kStaleCertificate rejection when its version is below shard's
   /// watermark, otherwise advances the watermark (lock-free fetch-max).
-  /// No-op when tracking is off or `shard` is out of the tracked range.
+  /// With tracking on, an accepted `out` from a shard outside the tracked
+  /// range is rejected as kMalformedProof. No-op when tracking is off.
   void ApplyWatermark(size_t shard, WireVerification* out) const;
 
   RsaPublicKey owner_key_;

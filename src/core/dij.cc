@@ -94,7 +94,7 @@ VerifyOutcome VerifyDijAnswer(const RsaPublicKey& owner_key,
 VerifyOutcome VerifyDijAnswer(const RsaPublicKey& owner_key,
                               const Certificate& cert, const Query& query,
                               const DijAnswer& answer, VerifyWorkspace& ws) {
-  if ((!ws.cert_preauthenticated && !VerifyCertificate(owner_key, cert)) ||
+  if ((!ws.cert_authenticated && !VerifyCertificate(owner_key, cert)) ||
       cert.params.method != MethodKind::kDij) {
     return VerifyOutcome::Reject(VerifyFailure::kBadCertificate,
                                  "certificate invalid or wrong method");

@@ -128,7 +128,7 @@ VerifyOutcome VerifyFullAnswer(const RsaPublicKey& owner_key,
 VerifyOutcome VerifyFullAnswer(const RsaPublicKey& owner_key,
                                const Certificate& cert, const Query& query,
                                const FullAnswer& answer, VerifyWorkspace& ws) {
-  if ((!ws.cert_preauthenticated && !VerifyCertificate(owner_key, cert)) ||
+  if ((!ws.cert_authenticated && !VerifyCertificate(owner_key, cert)) ||
       cert.params.method != MethodKind::kFull ||
       !cert.params.has_distance_tree) {
     return VerifyOutcome::Reject(VerifyFailure::kBadCertificate,

@@ -176,7 +176,7 @@ VerifyOutcome VerifyHypAnswer(const RsaPublicKey& owner_key,
 VerifyOutcome VerifyHypAnswer(const RsaPublicKey& owner_key,
                               const Certificate& cert, const Query& query,
                               const HypAnswer& answer, VerifyWorkspace& ws) {
-  if ((!ws.cert_preauthenticated && !VerifyCertificate(owner_key, cert)) ||
+  if ((!ws.cert_authenticated && !VerifyCertificate(owner_key, cert)) ||
       cert.params.method != MethodKind::kHyp || !cert.params.has_cells ||
       !cert.params.has_distance_tree ||
       cert.params.cell_counts.size() != cert.params.num_cells) {

@@ -164,7 +164,7 @@ VerifyOutcome VerifyLdmAnswer(const RsaPublicKey& owner_key,
 VerifyOutcome VerifyLdmAnswer(const RsaPublicKey& owner_key,
                               const Certificate& cert, const Query& query,
                               const LdmAnswer& answer, VerifyWorkspace& ws) {
-  if ((!ws.cert_preauthenticated && !VerifyCertificate(owner_key, cert)) ||
+  if ((!ws.cert_authenticated && !VerifyCertificate(owner_key, cert)) ||
       cert.params.method != MethodKind::kLdm || !cert.params.has_landmarks ||
       !(cert.params.lambda > 0)) {
     return VerifyOutcome::Reject(VerifyFailure::kBadCertificate,

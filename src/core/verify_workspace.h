@@ -12,7 +12,10 @@
 //   - decoded answers (one per method) whose vectors keep their capacity,
 //   - a MerkleVerifyScratch for the iterative subset-proof replay,
 //   - a TupleLane and SearchWorkspace for the tuple index and re-search,
-//   - assorted byte/id scratch vectors.
+//   - assorted byte/id scratch vectors,
+//   - the certificate memo: the last certificate whose signature verified,
+//     so a stream pays one RSA verify per certificate version, not one
+//     per answer.
 //
 // A workspace is single-threaded state: share one per thread, never across
 // threads. Every verification entry point keeps a signature-compatible
@@ -60,13 +63,23 @@ struct VerifyWorkspace {
   HypAnswer hyp;
   ForestPath forest_path;
 
-  // Set by VerifyWireAnswer ONLY when given a ForestAnchor, for the
-  // duration of one dispatch, after CheckForestPath proved `cert`'s body
-  // hangs off a forest root whose signature this client already verified:
-  // the method verifiers then skip the per-answer RSA VerifyCertificate
-  // (that is the entire point of the forest — one signature verify per
-  // fleet epoch). Every call clears it before decoding.
-  bool cert_preauthenticated = false;
+  // Certificate memo (signature mode): the exact encoded bytes of the last
+  // certificate whose RSA signature verified in this workspace, and the
+  // owner key it verified under. The owner signs one certificate per ADS
+  // version, so a client sees the same bytes on every answer until the
+  // next update; VerifyWireAnswer skips the RSA verify on an exact byte
+  // and key match, which is sound because identical bytes decode to the
+  // identical signed body and signature. One entry, replaced only by
+  // another certificate that verified; `memo_cert` empty = no memo.
+  std::vector<uint8_t> memo_cert;
+  RsaPublicKey memo_key;
+
+  // Set by VerifyWireAnswer for the duration of one dispatch once `cert` is
+  // authenticated: by its RSA signature (or a memo hit), or in forest mode
+  // by CheckForestPath proving its body hangs off a forest root whose
+  // signature the client already verified. The method verifiers then skip
+  // VerifyCertificate. Every call clears it before decoding.
+  bool cert_authenticated = false;
 };
 
 }  // namespace spauth

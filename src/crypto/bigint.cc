@@ -24,6 +24,114 @@ constexpr uint32_t kSmallPrimes[] = {
     881, 883, 887, 907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983,
     991, 997};
 
+// Montgomery multiplication modulo an odd m of n 64-bit words (pairs of
+// 32-bit limbs), R = 2^(64n), in the CIOS form (coarsely integrated operand
+// scanning): each outer step adds one word's partial product and then one
+// reduction multiple of m, in 128-bit accumulators, so the running sum
+// stays n + 2 words wide. 64-bit words quarter the inner-loop count of
+// 32-bit limbs; the carry chain, not the multiplier, bounds both.
+class Montgomery {
+ public:
+  __extension__ using Wide = unsigned __int128;
+
+  explicit Montgomery(std::vector<uint64_t> m)
+      : m_(std::move(m)), t_(m_.size() + 2) {
+    // Newton iteration for m^-1 mod 2^64: m0 is its own inverse mod 8,
+    // and each step doubles the number of correct low bits.
+    const uint64_t m0 = m_[0];
+    uint64_t inv = m0;
+    for (int i = 0; i < 5; ++i) {
+      inv *= 2 - m0 * inv;
+    }
+    m_neg_inv_ = 0 - inv;
+  }
+
+  /// out = a * b * R^-1 mod m. a, b < m, n words each; out may alias them.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out) {
+    const size_t n = m_.size();
+    uint64_t* t = t_.data();
+    std::fill(t_.begin(), t_.end(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t bi = b[i];
+      uint64_t carry = 0;
+      for (size_t j = 0; j < n; ++j) {
+        const Wide sum = static_cast<Wide>(a[j]) * bi + t[j] + carry;
+        t[j] = static_cast<uint64_t>(sum);
+        carry = static_cast<uint64_t>(sum >> 64);
+      }
+      Wide sum = static_cast<Wide>(t[n]) + carry;
+      t[n] = static_cast<uint64_t>(sum);
+      t[n + 1] = static_cast<uint64_t>(sum >> 64);
+
+      // Add q*m with q chosen so the low word cancels, then shift one word.
+      const uint64_t q = t[0] * m_neg_inv_;
+      carry = static_cast<uint64_t>(
+          (static_cast<Wide>(q) * m_[0] + t[0]) >> 64);
+      for (size_t j = 1; j < n; ++j) {
+        sum = static_cast<Wide>(q) * m_[j] + t[j] + carry;
+        t[j - 1] = static_cast<uint64_t>(sum);
+        carry = static_cast<uint64_t>(sum >> 64);
+      }
+      sum = static_cast<Wide>(t[n]) + carry;
+      t[n - 1] = static_cast<uint64_t>(sum);
+      t[n] = t[n + 1] + static_cast<uint64_t>(sum >> 64);
+    }
+    // t < 2m here; one conditional subtraction finishes the reduction.
+    bool subtract = t[n] != 0;
+    if (!subtract) {
+      subtract = true;  // t == m also subtracts
+      for (size_t j = n; j-- > 0;) {
+        if (t[j] != m_[j]) {
+          subtract = t[j] > m_[j];
+          break;
+        }
+      }
+    }
+    if (!subtract) {
+      std::copy(t, t + n, out);
+      return;
+    }
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const Wide diff = static_cast<Wide>(t[j]) - m_[j] - borrow;
+      out[j] = static_cast<uint64_t>(diff);
+      borrow = static_cast<uint64_t>(diff >> 64) & 1;
+    }
+  }
+
+ private:
+  std::vector<uint64_t> m_;
+  uint64_t m_neg_inv_ = 0;  // -m^-1 mod 2^64
+  std::vector<uint64_t> t_;
+};
+
+// Packs 32-bit limbs into `words` 64-bit words, zero-padded.
+std::vector<uint64_t> ToWords(const std::vector<uint32_t>& limbs,
+                              size_t words) {
+  std::vector<uint64_t> out(words, 0);
+  for (size_t i = 0; i < limbs.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(limbs[i]) << (32 * (i % 2));
+  }
+  return out;
+}
+
+// Fixed-window width for an exponent of `bits` bits: wider windows trade a
+// 2^w-entry table for fewer multiplications (thresholds as in OpenSSL's
+// BN_window_bits_for_exponent_size). Short public exponents such as 65537
+// get plain left-to-right binary.
+int WindowBits(int bits) {
+  return bits > 671 ? 6 : bits > 239 ? 5 : bits > 79 ? 4 : bits > 23 ? 3 : 1;
+}
+
+// Bits [lo, lo + w) of `e` as an integer.
+uint32_t ExponentWindow(const BigInt& e, int lo, int w) {
+  uint32_t v = 0;
+  for (int i = w - 1; i >= 0; --i) {
+    v = (v << 1) | (e.GetBit(lo + i) ? 1u : 0u);
+  }
+  return v;
+}
+
 }  // namespace
 
 void BigInt::Normalize() {
@@ -297,17 +405,66 @@ Result<BigInt> BigInt::ModPow(const BigInt& base, const BigInt& exp,
   if (m == FromU64(1)) {
     return BigInt();
   }
-  SPAUTH_ASSIGN_OR_RETURN(BigInt acc, Mod(base, m));
-  BigInt result = FromU64(1);
-  const int bits = exp.BitLength();
-  for (int i = 0; i < bits; ++i) {
-    if (exp.GetBit(i)) {
-      SPAUTH_ASSIGN_OR_RETURN(result, ModMul(result, acc, m));
+  if (exp.IsZero()) {
+    return FromU64(1);
+  }
+  BigInt a = base;
+  if (!(base < m)) {
+    SPAUTH_ASSIGN_OR_RETURN(a, Mod(base, m));
+  }
+  if (!m.IsOdd()) {
+    // Montgomery reduction needs an odd modulus: right-to-left square and
+    // multiply with a full division per step.
+    BigInt acc = a;
+    BigInt result = FromU64(1);
+    const int bits = exp.BitLength();
+    for (int i = 0; i < bits; ++i) {
+      if (exp.GetBit(i)) {
+        SPAUTH_ASSIGN_OR_RETURN(result, ModMul(result, acc, m));
+      }
+      if (i + 1 < bits) {
+        SPAUTH_ASSIGN_OR_RETURN(acc, ModMul(acc, acc, m));
+      }
     }
-    if (i + 1 < bits) {
-      SPAUTH_ASSIGN_OR_RETURN(acc, ModMul(acc, acc, m));
+    return result;
+  }
+
+  // Fixed-window exponentiation in the Montgomery domain. Every operand is
+  // an n-word array below m; table[k] holds a^k * R mod m.
+  const size_t n = (m.limbs_.size() + 1) / 2;
+  Montgomery mont(ToWords(m.limbs_, n));
+  SPAUTH_ASSIGN_OR_RETURN(
+      BigInt r2, Mod(FromU64(1).ShiftLeft(128 * static_cast<int>(n)), m));
+  const int bits = exp.BitLength();
+  const int w = WindowBits(bits);
+  std::vector<uint64_t> table((size_t{1} << w) * n);
+  const auto entry = [&](size_t k) { return table.data() + k * n; };
+  mont.Mul(ToWords(a.limbs_, n).data(), ToWords(r2.limbs_, n).data(),
+           entry(1));
+  for (size_t k = 2; k < (size_t{1} << w); ++k) {
+    mont.Mul(entry(k - 1), entry(1), entry(k));
+  }
+  const int top = (bits - 1) / w * w;
+  const uint64_t* first = entry(ExponentWindow(exp, top, w));
+  std::vector<uint64_t> acc(first, first + n);
+  for (int lo = top - w; lo >= 0; lo -= w) {
+    for (int i = 0; i < w; ++i) {
+      mont.Mul(acc.data(), acc.data(), acc.data());
+    }
+    if (const uint32_t window = ExponentWindow(exp, lo, w); window != 0) {
+      mont.Mul(acc.data(), entry(window), acc.data());
     }
   }
+  // Leave the Montgomery domain: acc * 1 * R^-1.
+  std::vector<uint64_t> one(n, 0);
+  one[0] = 1;
+  mont.Mul(acc.data(), one.data(), acc.data());
+  BigInt result;
+  result.limbs_.resize(2 * n);
+  for (size_t i = 0; i < result.limbs_.size(); ++i) {
+    result.limbs_[i] = static_cast<uint32_t>(acc[i / 2] >> (32 * (i % 2)));
+  }
+  result.Normalize();
   return result;
 }
 

@@ -1,7 +1,9 @@
 // Arbitrary-precision unsigned integer arithmetic, sized for RSA moduli
 // (tested up to 4096 bits). Implemented from scratch: schoolbook
-// multiplication, Knuth Algorithm D division, square-and-multiply modular
-// exponentiation, extended Euclid inverse and Miller-Rabin primality.
+// multiplication, Knuth Algorithm D division, modular exponentiation
+// (fixed-window Montgomery for odd moduli, square-and-multiply over full
+// divisions for even ones), extended Euclid inverse and Miller-Rabin
+// primality.
 //
 // Representation: little-endian vector of 32-bit limbs, normalized so the
 // most significant limb is non-zero (zero is the empty vector).
@@ -77,7 +79,10 @@ class BigInt {
   /// (a * b) mod m.
   static Result<BigInt> ModMul(const BigInt& a, const BigInt& b,
                                const BigInt& m);
-  /// base^exp mod m (square and multiply). Requires m != 0.
+  /// base^exp mod m. Requires m != 0. An odd m (every RSA modulus and
+  /// prime candidate) runs fixed-window Montgomery multiplication with no
+  /// division per step; an even m falls back to square-and-multiply over
+  /// ModMul. Both return the same value.
   static Result<BigInt> ModPow(const BigInt& base, const BigInt& exp,
                                const BigInt& m);
   /// Multiplicative inverse of a mod m, if gcd(a, m) == 1.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
+#include "util/failpoint.h"
+
 namespace spauth {
 
 namespace {
@@ -54,29 +56,37 @@ Result<RsaKeyPair> RsaKeyPair::Generate(int modulus_bits, Rng* rng) {
   if (modulus_bits < 512) {
     return Status::InvalidArgument("modulus must be at least 512 bits");
   }
-  const BigInt e = BigInt::FromU64(kPublicExponent);
-  const BigInt one = BigInt::FromU64(1);
   for (;;) {
     BigInt p = BigInt::GeneratePrime(modulus_bits / 2, rng);
     BigInt q = BigInt::GeneratePrime(modulus_bits - modulus_bits / 2, rng);
-    if (p == q) {
+    if (BigInt::Mul(p, q).BitLength() != modulus_bits) {
       continue;
     }
-    BigInt n = BigInt::Mul(p, q);
-    if (n.BitLength() != modulus_bits) {
-      continue;
+    auto keys = FromPrimes(std::move(p), std::move(q),
+                           BigInt::FromU64(kPublicExponent));
+    if (keys.ok()) {
+      return keys;
     }
-    BigInt phi = BigInt::Mul(BigInt::Sub(p, one), BigInt::Sub(q, one));
-    if (!(BigInt::Gcd(e, phi) == one)) {
-      continue;
-    }
-    auto d = BigInt::ModInverse(e, phi);
-    if (!d.ok()) {
-      continue;
-    }
-    RsaPublicKey pub{std::move(n), e};
-    return RsaKeyPair(std::move(pub), std::move(d).value());
   }
+}
+
+Result<RsaKeyPair> RsaKeyPair::FromPrimes(BigInt p, BigInt q, BigInt e) {
+  if (p == q) {
+    return Status::InvalidArgument("RSA primes must differ");
+  }
+  const BigInt one = BigInt::FromU64(1);
+  const BigInt p1 = BigInt::Sub(p, one);
+  const BigInt q1 = BigInt::Sub(q, one);
+  SPAUTH_ASSIGN_OR_RETURN(BigInt d,
+                          BigInt::ModInverse(e, BigInt::Mul(p1, q1)));
+  RsaKeyPair keys;
+  SPAUTH_ASSIGN_OR_RETURN(keys.dp_, BigInt::Mod(d, p1));
+  SPAUTH_ASSIGN_OR_RETURN(keys.dq_, BigInt::Mod(d, q1));
+  SPAUTH_ASSIGN_OR_RETURN(keys.q_inv_, BigInt::ModInverse(q, p));
+  keys.public_key_ = RsaPublicKey{BigInt::Mul(p, q), std::move(e)};
+  keys.p_ = std::move(p);
+  keys.q_ = std::move(q);
+  return keys;
 }
 
 namespace {
@@ -97,9 +107,29 @@ Result<std::vector<uint8_t>> RsaKeyPair::Sign(const Digest& digest) const {
   g_sign_ops.fetch_add(1, std::memory_order_relaxed);
   const size_t k = public_key_.SignatureSize();
   SPAUTH_ASSIGN_OR_RETURN(std::vector<uint8_t> em, EncodeMessage(digest, k));
-  BigInt m = BigInt::FromBytesBigEndian(em);
+  const BigInt m = BigInt::FromBytesBigEndian(em);
+  SPAUTH_ASSIGN_OR_RETURN(BigInt sp, BigInt::ModPow(m, dp_, p_));
+  SPAUTH_ASSIGN_OR_RETURN(BigInt sq, BigInt::ModPow(m, dq_, q_));
+  if (SPAUTH_FAILPOINT_TRIGGERED("rsa/crt_fault")) {
+    // A transient fault in the mod-p half, as in Boneh-DeMillo-Lipton.
+    SPAUTH_ASSIGN_OR_RETURN(sp,
+                            BigInt::Mod(BigInt::Add(sp, BigInt::FromU64(1)),
+                                        p_));
+  }
+  // Garner: s = sq + q * (q^-1 * (sp - sq) mod p).
+  SPAUTH_ASSIGN_OR_RETURN(BigInt sq_mod_p, BigInt::Mod(sq, p_));
+  const BigInt diff = sp < sq_mod_p
+                          ? BigInt::Sub(BigInt::Add(sp, p_), sq_mod_p)
+                          : BigInt::Sub(sp, sq_mod_p);
+  SPAUTH_ASSIGN_OR_RETURN(BigInt h, BigInt::ModMul(q_inv_, diff, p_));
+  const BigInt s = BigInt::Add(sq, BigInt::Mul(h, q_));
+  // Fault guard: release only a signature the public key opens to `m`.
   SPAUTH_ASSIGN_OR_RETURN(
-      BigInt s, BigInt::ModPow(m, private_exponent_, public_key_.modulus));
+      BigInt opened,
+      BigInt::ModPow(s, public_key_.public_exponent, public_key_.modulus));
+  if (!(opened == m)) {
+    return Status::Internal("RSA-CRT signature failed the public-key check");
+  }
   return s.ToBytesBigEndian(k);
 }
 

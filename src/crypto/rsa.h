@@ -5,6 +5,13 @@
 // wrapped in a 0x00 0x01 FF..FF 0x00 <alg-id> <digest> block the size of the
 // modulus, then exponentiated with the private key. This mirrors the paper's
 // use of RSA [10] to sign the ADS root.
+//
+// Signing uses the Chinese remainder theorem: two half-width
+// exponentiations mod p and mod q, recombined with Garner's formula. The
+// encoding is deterministic and m^d mod n is unique, so a CRT signature is
+// byte-identical to the plain one. A fault in either half would yield a
+// signature that leaks a factor of n (Boneh-DeMillo-Lipton), so Sign checks
+// every signature against the public key before releasing it.
 #ifndef SPAUTH_CRYPTO_RSA_H_
 #define SPAUTH_CRYPTO_RSA_H_
 
@@ -40,18 +47,26 @@ class RsaKeyPair {
   /// 1024 matches the paper's era; tests use smaller keys for speed.
   static Result<RsaKeyPair> Generate(int modulus_bits, Rng* rng);
 
+  /// The key pair with n = p*q and public exponent e, where
+  /// d = e^-1 mod (p-1)(q-1). Fails when p == q or e is not invertible.
+  static Result<RsaKeyPair> FromPrimes(BigInt p, BigInt q, BigInt e);
+
   const RsaPublicKey& public_key() const { return public_key_; }
 
-  /// Signs a digest. Returns the signature as modulus-width bytes.
+  /// Signs a digest. Returns the signature as modulus-width bytes, or an
+  /// Internal error when the CRT result fails the public-key check (a
+  /// faulty signature is never released).
   Result<std::vector<uint8_t>> Sign(const Digest& digest) const;
 
  private:
-  RsaKeyPair(RsaPublicKey pub, BigInt private_exponent)
-      : public_key_(std::move(pub)),
-        private_exponent_(std::move(private_exponent)) {}
+  RsaKeyPair() = default;
 
   RsaPublicKey public_key_;
-  BigInt private_exponent_;  // d
+  // CRT form of the private key.
+  BigInt p_, q_;
+  BigInt dp_;     // d mod (p-1)
+  BigInt dq_;     // d mod (q-1)
+  BigInt q_inv_;  // q^-1 mod p
 };
 
 /// Verifies `signature` over `digest` under `key`. Returns true iff valid.

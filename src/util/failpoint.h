@@ -11,6 +11,9 @@
 // Complete fail-point registry (name | seam | failure surfaced as):
 //
 //   certificate/sign     MakeCertificate, before RSA signing   kUnavailable
+//   rsa/crt_fault        RsaKeyPair::Sign, corrupts the mod-p
+//                        CRT half; the public-key check
+//                        before release must catch it          kInternal
 //   ads/update_tuple     NetworkAds::UpdateTuple (Merkle path
 //                        rebuild)                              kUnavailable
 //   engine/answer        MethodEngine serving, before cache

@@ -440,8 +440,8 @@ TEST_P(ShardedEngineMethodTest, ShardedBatchMatchesSerialVerify) {
     // A missing bundle arrives as an empty wire: a per-message rejection,
     // not a crash or a batch abort.
     requests.push_back({q, {}, shard});
-    // An out-of-range shard skips the watermark on a signature request;
-    // its forest path cannot match it.
+    // An out-of-range shard would skip the watermark, so a signature
+    // request from it rejects as malformed; its forest path cannot match.
     requests.push_back({q, bundles[0]->bytes, num_shards});
     requests.push_back(
         {q, bundles[0]->bytes, num_shards, fleet->encoded_paths[shard]});
@@ -463,7 +463,8 @@ TEST_P(ShardedEngineMethodTest, ShardedBatchMatchesSerialVerify) {
     }
     EXPECT_EQ(results[honest].outcome.failure,
               VerifyFailure::kMalformedProof);
-    EXPECT_TRUE(results[honest + 1].outcome.accepted);
+    EXPECT_EQ(results[honest + 1].outcome.failure,
+              VerifyFailure::kMalformedProof);
     EXPECT_EQ(results[honest + 2].outcome.failure,
               VerifyFailure::kBadCertificate);
   }

@@ -4,7 +4,10 @@
 
 #include <string>
 
+#include "crypto/bigint.h"
 #include "crypto/digest.h"
+#include "util/failpoint.h"
+#include "util/hex.h"
 #include "util/rng.h"
 
 namespace spauth {
@@ -123,6 +126,118 @@ TEST(RsaGenerateTest, DeterministicFromSeed) {
   EXPECT_EQ(BigInt::Compare(a.value().public_key().modulus,
                             b.value().public_key().modulus),
             0);
+}
+
+// The encoded message block Sign exponentiates:
+//   0x00 0x01 FF .. FF 0x00 <alg-id byte> <digest bytes>.
+BigInt EncodedMessage(const Digest& digest, size_t size) {
+  std::vector<uint8_t> em(size, 0xff);
+  em[0] = 0x00;
+  em[1] = 0x01;
+  const size_t offset = size - digest.size();
+  em[offset - 2] = 0x00;
+  em[offset - 1] = static_cast<uint8_t>(
+      digest.size() == 20 ? HashAlgorithm::kSha1 : HashAlgorithm::kSha256);
+  std::copy(digest.view().begin(), digest.view().end(),
+            em.begin() + static_cast<ptrdiff_t>(offset));
+  return BigInt::FromBytesBigEndian(em);
+}
+
+// CRT signing must be byte-identical to the plain m^d mod n it replaces.
+TEST(RsaCrtTest, SignMatchesPlainExponentiation) {
+  const BigInt e = BigInt::FromU64(65537);
+  const BigInt one = BigInt::FromU64(1);
+  Rng rng(1605);
+  for (int bits : {512, 1024, 2048}) {
+    BigInt p, q;
+    Result<RsaKeyPair> keys = Status::Internal("unset");
+    while (!keys.ok()) {
+      p = BigInt::GeneratePrime(bits / 2, &rng);
+      q = BigInt::GeneratePrime(bits - bits / 2, &rng);
+      keys = RsaKeyPair::FromPrimes(p, q, e);
+    }
+    const BigInt n = BigInt::Mul(p, q);
+    ASSERT_EQ(keys.value().public_key().modulus, n);
+    const BigInt d =
+        BigInt::ModInverse(e, BigInt::Mul(BigInt::Sub(p, one),
+                                          BigInt::Sub(q, one)))
+            .value();
+    const size_t k = keys.value().public_key().SignatureSize();
+    for (int i = 0; i < 200; ++i) {
+      const Digest digest =
+          HashString(i % 2 == 0 ? HashAlgorithm::kSha1
+                                : HashAlgorithm::kSha256,
+                     "digest " + std::to_string(i));
+      auto sig = keys.value().Sign(digest);
+      ASSERT_TRUE(sig.ok()) << sig.status().ToString();
+      const BigInt plain =
+          BigInt::ModPow(EncodedMessage(digest, k), d, n).value();
+      ASSERT_EQ(sig.value(), plain.ToBytesBigEndian(k).value())
+          << bits << "-bit key, digest " << i;
+      EXPECT_TRUE(RsaVerify(keys.value().public_key(), digest, sig.value()));
+    }
+  }
+}
+
+// Keys and signatures from a seed are the bytes the pre-CRT signer
+// produced (pinned from it), so every certificate stays byte-identical.
+TEST(RsaCrtTest, KeyAndSignatureBytesPinned) {
+  Rng rng(42);
+  auto keys = RsaKeyPair::Generate(1024, &rng);
+  ASSERT_TRUE(keys.ok());
+  EXPECT_EQ(keys.value().public_key().modulus.ToHexString(),
+            "a2ef7645f2bee2daa0bfadb8e9f43458f3f7b3ca19cd6769ea892aeb96d877a7"
+            "19adf2653a24f023ffcb5fb0e4a98357d1894683c054057b08787723a758312"
+            "7f868a959bd9cbec47bdc4353aac7cdabddc2eb5fc061ed4c8d40929035412"
+            "921a1bade5844c53baaea373a90603c140c115cfdfcb5881bbd3dbfda7fa11e"
+            "39f3");
+  const char* kSignatureSha1[] = {"ecb62dbb908e76f23f55ace32682df65c785925c",
+                                  "ce2339d6978a232a75353cec4b4939895c85f261",
+                                  "a0ee9c4d1689a3d6f56f0f3b56eb528e9ccb14d7"};
+  for (int i = 0; i < 3; ++i) {
+    auto sig = keys.value().Sign(
+        HashString(HashAlgorithm::kSha1, "root" + std::to_string(i)));
+    ASSERT_TRUE(sig.ok());
+    EXPECT_EQ(ToHex(Hasher::Hash(HashAlgorithm::kSha1, sig.value()).view()),
+              kSignatureSha1[i]);
+  }
+}
+
+TEST(RsaCrtTest, FromPrimesRejectsBadPrimes) {
+  const BigInt p = BigInt::FromU64(4294967291ULL);  // prime, = 2 mod 3
+  const BigInt q = BigInt::FromU64(4294967279ULL);  // prime, = 2 mod 3
+  EXPECT_FALSE(RsaKeyPair::FromPrimes(p, p, BigInt::FromU64(65537)).ok());
+  // e = 3 divides (p-1)(q-1) when p = 1 mod 3.
+  const BigInt p1 = BigInt::FromU64(4294967197ULL);  // prime, = 1 mod 3
+  EXPECT_FALSE(RsaKeyPair::FromPrimes(p1, q, BigInt::FromU64(3)).ok());
+  EXPECT_TRUE(RsaKeyPair::FromPrimes(p, q, BigInt::FromU64(3)).ok());
+}
+
+// A fault in one CRT half yields a signature that factors n; the
+// public-key check before release must refuse it, never emit it.
+TEST(RsaCrtTest, FaultedHalfIsNeverReleased) {
+  if (!FailPointsCompiledIn()) {
+    GTEST_SKIP() << "fail points compiled out";
+  }
+  Rng rng(20100301);
+  auto keys = RsaKeyPair::Generate(512, &rng);
+  ASSERT_TRUE(keys.ok());
+  const Digest digest = HashString(HashAlgorithm::kSha1, "fault");
+  const std::vector<uint8_t> good = keys.value().Sign(digest).value();
+  {
+    ScopedFailPoint fault("rsa/crt_fault", FailPointSpec{});
+    for (int i = 0; i < 5; ++i) {
+      auto sig = keys.value().Sign(digest);
+      ASSERT_FALSE(sig.ok());
+      EXPECT_EQ(sig.status().code(), StatusCode::kInternal);
+    }
+    EXPECT_EQ(FailPointRegistry::Global().GetStats("rsa/crt_fault").fires,
+              5u);
+  }
+  // Disarmed, the same key signs the same bytes again.
+  auto sig = keys.value().Sign(digest);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(sig.value(), good);
 }
 
 }  // namespace

@@ -158,6 +158,10 @@ TEST(NetE2eTest, CachedAnswersStreamWithZeroProofByteCopies) {
     EXPECT_TRUE(r.value().outcome.accepted);
   }
 
+  // The event loop books proof_bytes_sent after write() returns, so the
+  // client can hold (and verify) the second answer before it is counted;
+  // stopping the server joins the loop and settles the books.
+  server.Stop();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.proof_bytes_copied, 0u);
   EXPECT_EQ(stats.proof_bytes_sent, 2 * proof_size);
