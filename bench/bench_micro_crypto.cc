@@ -12,7 +12,6 @@
 #include "crypto/bigint.h"
 #include "crypto/digest.h"
 #include "crypto/rsa.h"
-#include "crypto/sha_multibuf.h"
 #include "graph/generator.h"
 #include "graph/workload.h"
 #include "util/rng.h"
@@ -20,26 +19,36 @@
 namespace spauth {
 namespace {
 
-void BM_Hash(benchmark::State& state, HashAlgorithm alg) {
+// One message per iteration through Hasher::Hash, on the SHA-NI or the
+// scalar compression function (labelled). 41 bytes is a fanout-2 SHA-1
+// Merkle node (one block), 64 the shortest two-block message and 161 a
+// fanout-8 SHA-1 node.
+void BM_Sha(benchmark::State& state, HashAlgorithm alg, ShaImpl impl) {
+  if (impl == ShaImpl::kShaNi && !ShaNiAvailable()) {
+    state.SkipWithError("SHA-NI unavailable on this build or CPU");
+    return;
+  }
   const size_t size = static_cast<size_t>(state.range(0));
   std::vector<uint8_t> data(size);
   Rng rng(1);
   rng.FillBytes(data.data(), data.size());
   for (auto _ : state) {
-    Digest d = Hasher::Hash(alg, data);
+    Digest d = Hasher::Hash(alg, data, impl);
     benchmark::DoNotOptimize(d);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(size));
+  state.SetLabel(impl == ShaImpl::kScalar ? "scalar" : "sha-ni");
 }
-BENCHMARK_CAPTURE(BM_Hash, sha1, HashAlgorithm::kSha1)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_Hash, sha256, HashAlgorithm::kSha256)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha, sha1_ni, HashAlgorithm::kSha1, ShaImpl::kShaNi)
+    ->Arg(41)->Arg(64)->Arg(161)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha, sha1_scalar, HashAlgorithm::kSha1, ShaImpl::kScalar)
+    ->Arg(41)->Arg(64)->Arg(161)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha, sha256_ni, HashAlgorithm::kSha256, ShaImpl::kShaNi)
+    ->Arg(41)->Arg(64)->Arg(161)->Arg(1024)->Arg(65536);
+BENCHMARK_CAPTURE(BM_Sha, sha256_scalar, HashAlgorithm::kSha256,
+                  ShaImpl::kScalar)
+    ->Arg(41)->Arg(64)->Arg(161)->Arg(1024)->Arg(65536);
 
 const RsaKeyPair& BenchKeys() {
   static const RsaKeyPair* keys = [] {
@@ -159,7 +168,7 @@ BENCHMARK_CAPTURE(BM_VerifyWireAnswer, full_warm, MethodKind::kFull, true);
 void BM_BigIntModPow(benchmark::State& state) {
   Rng rng(7);
   const int bits = static_cast<int>(state.range(0));
-  BigInt modulus = BigInt::GeneratePrime(bits, &rng);
+  BigInt modulus = BigInt::GeneratePrime(bits, &rng).value();
   BigInt base = BigInt::RandomBelow(modulus, &rng);
   BigInt exponent = BigInt::RandomWithBits(bits, &rng);
   for (auto _ : state) {
@@ -179,74 +188,6 @@ void BM_BigIntMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BigIntMul)->Arg(512)->Arg(1024)->Arg(2048);
-
-// ---------------------------------------------------------------------------
-// Multi-buffer SHA: the Merkle level-rebuild shape — many equal-length
-// messages hashed as a batch. Compare BM_ShaMany (SIMD lanes when built
-// with SPAUTH_SHA_MULTIBUF=ON) against BM_ShaScalarLoop on the same
-// workload; the ratio is the multi-buffer speedup the rotation path sees.
-// ---------------------------------------------------------------------------
-
-/// `count` messages of `size` bytes each, the layout ShaHashMany consumes.
-struct ShaBatch {
-  std::vector<uint8_t> arena;
-  std::vector<const uint8_t*> ptrs;
-  std::vector<size_t> sizes;
-
-  ShaBatch(size_t count, size_t size) : arena(count * size) {
-    Rng rng(7);
-    rng.FillBytes(arena.data(), arena.size());
-    for (size_t i = 0; i < count; ++i) {
-      ptrs.push_back(arena.data() + i * size);
-      sizes.push_back(size);
-    }
-  }
-};
-
-void BM_ShaMany(benchmark::State& state, HashAlgorithm alg) {
-  const size_t count = static_cast<size_t>(state.range(0));
-  const size_t size = static_cast<size_t>(state.range(1));
-  ShaBatch batch(count, size);
-  std::vector<Digest> out(count);
-  for (auto _ : state) {
-    ShaHashMany(alg, count, batch.ptrs.data(), batch.sizes.data(), out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(count * size));
-  state.SetLabel(ShaMultiBufEnabled() ? "multibuf" : "scalar-fallback");
-}
-// {messages, bytes each}: 64-byte nodes are the internal-level rebuild
-// shape, 256-byte payloads the leaf-hash shape.
-BENCHMARK_CAPTURE(BM_ShaMany, sha1, HashAlgorithm::kSha1)
-    ->Args({1024, 64})
-    ->Args({1024, 256})
-    ->Args({8192, 64});
-BENCHMARK_CAPTURE(BM_ShaMany, sha256, HashAlgorithm::kSha256)
-    ->Args({1024, 64})
-    ->Args({8192, 64});
-
-void BM_ShaScalarLoop(benchmark::State& state, HashAlgorithm alg) {
-  const size_t count = static_cast<size_t>(state.range(0));
-  const size_t size = static_cast<size_t>(state.range(1));
-  ShaBatch batch(count, size);
-  std::vector<Digest> out(count);
-  for (auto _ : state) {
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = Hasher::Hash(alg, {batch.ptrs[i], batch.sizes[i]});
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(count * size));
-}
-BENCHMARK_CAPTURE(BM_ShaScalarLoop, sha1, HashAlgorithm::kSha1)
-    ->Args({1024, 64})
-    ->Args({1024, 256})
-    ->Args({8192, 64});
-BENCHMARK_CAPTURE(BM_ShaScalarLoop, sha256, HashAlgorithm::kSha256)
-    ->Args({1024, 64})
-    ->Args({8192, 64});
 
 }  // namespace
 }  // namespace spauth

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "crypto/sha_multibuf.h"
 #include "merkle/merkle_tree.h"
 #include "util/failpoint.h"
 
@@ -159,22 +158,11 @@ Result<ForestBuild> BuildForestCertificate(
     }
   }
 
-  // Leaves through the multi-buffer lanes: every payload is the same
-  // LE32(shard) || digest shape, so the whole leaf row batches.
   const uint32_t n = params.num_shards;
-  ByteWriter payloads;
-  for (uint32_t i = 0; i < n; ++i) {
-    payloads.WriteU32(i);
-    payloads.WriteBytes(shard_cert_digests[i].view());
-  }
-  const size_t payload_size = 4 + digest_size;
-  std::vector<std::span<const uint8_t>> views;
-  views.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    views.push_back(payloads.view().subspan(i * payload_size, payload_size));
-  }
   std::vector<Digest> level(n);
-  HashLeafPayloadsBatch(params.alg, views, level.data());
+  for (uint32_t i = 0; i < n; ++i) {
+    level[i] = HashForestLeaf(params.alg, i, shard_cert_digests[i]);
+  }
 
   // The full tree is materialized level by level (it is tiny — one digest
   // per routing group), so every shard's sibling path can be cut from it.

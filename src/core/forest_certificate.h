@@ -85,8 +85,8 @@ Digest HashForestLeaf(HashAlgorithm alg, uint32_t shard,
 
 /// Builds and signs the forest over `shard_cert_digests` (one per-shard
 /// Certificate::BodyDigest per routing group, in shard order). Exactly one
-/// RSA signature regardless of fleet size; the tree build funnels through
-/// the multi-buffer SHA lanes. `params.num_shards` must match the span.
+/// RSA signature regardless of fleet size. `params.num_shards` must match
+/// the span.
 Result<ForestBuild> BuildForestCertificate(
     const RsaKeyPair& keys, ForestParams params,
     std::span<const Digest> shard_cert_digests);

@@ -109,29 +109,10 @@ Result<NetworkAds> NetworkAds::Build(std::vector<ExtendedTuple> tuples,
   }
   auto leaf_of_node = std::make_shared<const std::vector<uint32_t>>(
       InvertOrdering(order));
-  // Leaf hashing funnels through the multi-buffer SHA lanes: encode a
-  // window of tuples into one scratch buffer, then hash the window as a
-  // batch (HashLeafPayloadsBatch groups equal-length encodings into lanes).
   std::vector<Digest> leaves(tuples.size());
-  constexpr size_t kLeafWindow = 256;
   ByteWriter scratch;  // one encoding buffer for all leaf hashes
-  std::vector<size_t> offsets;
-  std::vector<std::span<const uint8_t>> payloads;
-  for (uint32_t begin = 0; begin < order.size(); begin += kLeafWindow) {
-    const uint32_t end = std::min<size_t>(order.size(), begin + kLeafWindow);
-    scratch.Clear();
-    offsets.clear();
-    for (uint32_t pos = begin; pos < end; ++pos) {
-      offsets.push_back(scratch.size());
-      tuples[order[pos]].Serialize(&scratch);
-    }
-    offsets.push_back(scratch.size());
-    payloads.clear();
-    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-      payloads.push_back(
-          scratch.view().subspan(offsets[i], offsets[i + 1] - offsets[i]));
-    }
-    HashLeafPayloadsBatch(alg, payloads, leaves.data() + begin);
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    leaves[pos] = tuples[order[pos]].LeafDigest(alg, &scratch);
   }
   SPAUTH_ASSIGN_OR_RETURN(MerkleTree tree,
                           MerkleTree::Build(std::move(leaves), fanout, alg));

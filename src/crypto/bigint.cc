@@ -650,9 +650,13 @@ bool BigInt::IsProbablePrime(const BigInt& n, int rounds, Rng* rng) {
   return true;
 }
 
-BigInt BigInt::GeneratePrime(int bits, Rng* rng) {
+Result<BigInt> BigInt::GeneratePrime(int bits, Rng* rng) {
+  return GeneratePrime(bits, rng, 64 * bits);
+}
+
+Result<BigInt> BigInt::GeneratePrime(int bits, Rng* rng, int max_candidates) {
   assert(bits >= 8);
-  for (;;) {
+  for (int tried = 0; tried < max_candidates; ++tried) {
     BigInt candidate = RandomWithBits(bits, rng);
     if (!candidate.IsOdd()) {
       candidate = Add(candidate, FromU64(1));
@@ -661,6 +665,7 @@ BigInt BigInt::GeneratePrime(int bits, Rng* rng) {
       return candidate;
     }
   }
+  return Status::Internal("no probable prime within the candidate bound");
 }
 
 std::string BigInt::ToHexString() const {

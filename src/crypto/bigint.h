@@ -96,8 +96,14 @@ class BigInt {
   /// Miller-Rabin probabilistic primality test with `rounds` random bases.
   static bool IsProbablePrime(const BigInt& n, int rounds, Rng* rng);
 
-  /// Generates a random probable prime with exactly `bits` bits.
-  static BigInt GeneratePrime(int bits, Rng* rng);
+  /// Generates a random probable prime with exactly `bits` bits, trying at
+  /// most 64 * bits candidates. Primes are dense enough that a correct
+  /// ModPow finds one far sooner; exhausting the bound means the primality
+  /// test rejects everything, and it fails with Internal instead of
+  /// spinning forever.
+  static Result<BigInt> GeneratePrime(int bits, Rng* rng);
+  /// As above with an explicit candidate bound (tests drive exhaustion).
+  static Result<BigInt> GeneratePrime(int bits, Rng* rng, int max_candidates);
 
   /// Lowercase hexadecimal ("0" for zero).
   std::string ToHexString() const;

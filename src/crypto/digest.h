@@ -66,10 +66,21 @@ class Digest {
   size_t size_;
 };
 
+/// Which compression function a Hasher runs. Every choice yields the same
+/// digests. kAuto takes the SHA-NI instructions when the build compiled
+/// them in (SPAUTH_SHA_HW=ON on x86-64) and cpuid reports them, and the
+/// scalar rounds otherwise. kShaNi falls back to scalar where SHA-NI is
+/// unavailable, so it is always safe to ask for; kScalar is the oracle the
+/// differential tests and the scalar micro-benchmarks pin.
+enum class ShaImpl : uint8_t { kAuto, kScalar, kShaNi };
+
+/// True when kAuto runs SHA-NI: compiled in and reported by this CPU.
+bool ShaNiAvailable();
+
 /// Streaming hasher; create, Update() any number of times, Finish() once.
 class Hasher {
  public:
-  explicit Hasher(HashAlgorithm alg);
+  explicit Hasher(HashAlgorithm alg, ShaImpl impl = ShaImpl::kAuto);
 
   Hasher& Update(std::span<const uint8_t> data);
   Hasher& Update(const void* data, size_t size) {
@@ -79,19 +90,23 @@ class Hasher {
   /// Finalizes and returns the digest. The hasher must not be reused.
   Digest Finish();
 
-  /// One-shot convenience.
-  static Digest Hash(HashAlgorithm alg, std::span<const uint8_t> data);
+  /// One-shot hash of a contiguous message. A message under 56 bytes (a
+  /// fanout-2 SHA-1 Merkle node, a tuple leaf) is padded in place and
+  /// compressed as one block, with no streaming bookkeeping.
+  static Digest Hash(HashAlgorithm alg, std::span<const uint8_t> data,
+                     ShaImpl impl = ShaImpl::kAuto);
 
  private:
   HashAlgorithm alg_;
+  bool use_sha_ni_;
   // Unified state block large enough for either algorithm.
   uint32_t h_[8];
   uint64_t total_bytes_;
   uint8_t block_[64];
   size_t block_fill_;
-  bool finished_;
 
-  void ProcessBlock(const uint8_t* block);
+  /// Runs the compression function over `count` consecutive 64-byte blocks.
+  void ProcessBlocks(const uint8_t* blocks, size_t count);
   /// Assembles the Merkle-Damgard padding for `bit_length` in block_
   /// (starting at block_fill_) and processes the final one or two blocks.
   void FinishBlocks(uint64_t bit_length);

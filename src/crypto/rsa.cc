@@ -10,6 +10,8 @@ namespace spauth {
 namespace {
 
 constexpr uint64_t kPublicExponent = 65537;
+// Prime pairs RsaKeyPair::Generate draws before it gives up.
+constexpr int kMaxKeyAttempts = 64;
 
 // Builds the EMSA-PKCS1-v1_5-style encoded message block:
 //   0x00 0x01 FF .. FF 0x00 <alg-id byte> <digest bytes>
@@ -56,9 +58,13 @@ Result<RsaKeyPair> RsaKeyPair::Generate(int modulus_bits, Rng* rng) {
   if (modulus_bits < 512) {
     return Status::InvalidArgument("modulus must be at least 512 bits");
   }
-  for (;;) {
-    BigInt p = BigInt::GeneratePrime(modulus_bits / 2, rng);
-    BigInt q = BigInt::GeneratePrime(modulus_bits - modulus_bits / 2, rng);
+  // A prime pair misses the modulus length (or shares a factor with e)
+  // about 40% of the time, so the bound only trips when keygen is broken.
+  for (int attempt = 0; attempt < kMaxKeyAttempts; ++attempt) {
+    SPAUTH_ASSIGN_OR_RETURN(BigInt p,
+                            BigInt::GeneratePrime(modulus_bits / 2, rng));
+    SPAUTH_ASSIGN_OR_RETURN(
+        BigInt q, BigInt::GeneratePrime(modulus_bits - modulus_bits / 2, rng));
     if (BigInt::Mul(p, q).BitLength() != modulus_bits) {
       continue;
     }
@@ -68,6 +74,7 @@ Result<RsaKeyPair> RsaKeyPair::Generate(int modulus_bits, Rng* rng) {
       return keys;
     }
   }
+  return Status::Internal("no RSA key within the attempt bound");
 }
 
 Result<RsaKeyPair> RsaKeyPair::FromPrimes(BigInt p, BigInt q, BigInt e) {

@@ -1,53 +1,13 @@
-// Multi-buffer SHA: hashes many independent messages at once by running
-// 8 SHA-1/SHA-256 states in SIMD lanes (GCC vector extensions, so the
-// compiler lowers the lane arithmetic to SSE2/AVX2 without any intrinsics
-// or -march requirements). The digests are bit-identical to Hasher::Hash —
-// the SIMD path only changes WHO advances the compression function, never
-// what it computes — which the differential test sweep pins down.
-//
-// This is the throughput answer for the hash-heavy owner paths: Merkle
-// level rebuilds hash thousands of same-shaped internal nodes per level,
-// leaf (re)hashing feeds runs of similar-size payloads, and the forest
-// certificate hashes one small tree per fleet rotation. All of them funnel
-// through ShaHashMany, which internally groups equal-length messages into
-// full lanes and falls back to the scalar Hasher for stragglers.
-//
-// Build gate: the SIMD path compiles in when SPAUTH_SHA_MULTIBUF=ON (the
-// CMake default). With -DSPAUTH_SHA_MULTIBUF=OFF every entry point keeps
-// the same signature and semantics but loops the scalar Hasher — CI builds
-// both legs and asserts identical end-to-end answer digests.
+// The 8-lane multi-buffer SHA path is gone: single-message SHA-NI hashing
+// (crypto/digest.h) rebuilds Merkle levels faster with the same digests.
+// ShaMultiBufEnabled() stays only because the standing benchmark prints it
+// on its provenance line; it always reports false.
 #ifndef SPAUTH_CRYPTO_SHA_MULTIBUF_H_
 #define SPAUTH_CRYPTO_SHA_MULTIBUF_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <span>
-
-#include "crypto/digest.h"
-
 namespace spauth {
 
-/// SIMD lane width of the multi-buffer compression function. Partial
-/// batches still run as one dispatch (idle lanes mirror lane 0), so any
-/// equal-length group of >= 2 messages is worth batching.
-inline constexpr size_t kShaMultiBufLanes = 8;
-
-/// True when the library was built with the SIMD multi-buffer path
-/// (SPAUTH_SHA_MULTIBUF=ON and a GNU-compatible compiler). False means
-/// ShaHashMany is a scalar loop — same digests, no speedup.
-bool ShaMultiBufEnabled();
-
-/// Hashes `count` independent messages: out[i] == Hasher::Hash(alg,
-/// {data[i], sizes[i]}) for every i, byte-identical. Messages of equal
-/// length are batched into SIMD lanes; unequal lengths are grouped
-/// internally, so callers just hand over whatever they have.
-void ShaHashMany(HashAlgorithm alg, size_t count, const uint8_t* const* data,
-                 const size_t* sizes, Digest* out);
-
-/// Span-of-spans convenience for call sites that already hold views.
-/// `out` must have room for msgs.size() digests.
-void ShaHashMany(HashAlgorithm alg, std::span<const std::span<const uint8_t>> msgs,
-                 Digest* out);
+inline bool ShaMultiBufEnabled() { return false; }
 
 }  // namespace spauth
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "crypto/sha_multibuf.h"
 #include "util/cow.h"
 
 namespace spauth {
@@ -38,7 +37,20 @@ void LevelSizes(size_t num_leaves, uint32_t fanout, std::vector<size_t>* sizes) 
 
 }  // namespace
 
+// Messages up to this size (every leaf tuple and every internal node of a
+// fanout <= 32 tree) are assembled in one stack buffer and hashed as a
+// contiguous message; larger ones stream through the Hasher.
+constexpr size_t kStackMessageBytes = 1 + 32 * Digest::kMaxSize;
+
 Digest HashLeafPayload(HashAlgorithm alg, std::span<const uint8_t> payload) {
+  if (payload.size() < kStackMessageBytes) {
+    uint8_t message[kStackMessageBytes];
+    message[0] = kLeafTag;
+    if (!payload.empty()) {
+      std::memcpy(message + 1, payload.data(), payload.size());
+    }
+    return Hasher::Hash(alg, {message, 1 + payload.size()});
+  }
   Hasher h(alg);
   h.Update(&kLeafTag, 1);
   h.Update(payload);
@@ -46,6 +58,16 @@ Digest HashLeafPayload(HashAlgorithm alg, std::span<const uint8_t> payload) {
 }
 
 Digest HashInternalNode(HashAlgorithm alg, std::span<const Digest> children) {
+  if (children.size() <= 32) {
+    uint8_t message[kStackMessageBytes];
+    message[0] = kInternalTag;
+    size_t size = 1;
+    for (const Digest& child : children) {
+      std::memcpy(message + size, child.data(), child.size());
+      size += child.size();
+    }
+    return Hasher::Hash(alg, {message, size});
+  }
   Hasher h(alg);
   h.Update(&kInternalTag, 1);
   for (const Digest& child : children) {
@@ -54,80 +76,15 @@ Digest HashInternalNode(HashAlgorithm alg, std::span<const Digest> children) {
   return h.Finish();
 }
 
-namespace {
-
-// Staging window for the batch hashers: bounds scratch memory while keeping
-// every SIMD dispatch fed with full equal-length runs.
-constexpr size_t kBatchWindow = 256;
-
-}  // namespace
-
-void HashLeafPayloadsBatch(HashAlgorithm alg,
-                           std::span<const std::span<const uint8_t>> payloads,
-                           Digest* out) {
-  // The lane hashers want contiguous messages, so each window stages
-  // tag-prefixed copies into one flat scratch buffer. The copy is linear in
-  // payload bytes; the hashing it feeds is the dominant cost.
-  std::vector<uint8_t> scratch;
-  std::vector<const uint8_t*> ptrs;
-  std::vector<size_t> sizes;
-  for (size_t begin = 0; begin < payloads.size(); begin += kBatchWindow) {
-    const size_t end = std::min(payloads.size(), begin + kBatchWindow);
-    size_t total = 0;
-    for (size_t i = begin; i < end; ++i) {
-      total += 1 + payloads[i].size();
-    }
-    scratch.clear();
-    scratch.reserve(total);
-    ptrs.clear();
-    sizes.clear();
-    std::vector<size_t> offsets;
-    for (size_t i = begin; i < end; ++i) {
-      offsets.push_back(scratch.size());
-      scratch.push_back(kLeafTag);
-      scratch.insert(scratch.end(), payloads[i].begin(), payloads[i].end());
-      sizes.push_back(1 + payloads[i].size());
-    }
-    for (size_t off : offsets) {
-      ptrs.push_back(scratch.data() + off);  // after all inserts: stable
-    }
-    ShaHashMany(alg, ptrs.size(), ptrs.data(), sizes.data(), out + begin);
-  }
-}
-
 void HashInternalLevel(HashAlgorithm alg, std::span<const Digest> below,
                        uint32_t fanout, std::vector<Digest>* out_level) {
   const size_t num_nodes = (below.size() + fanout - 1) / fanout;
   out_level->resize(num_nodes);
-  const size_t ds = DigestSize(alg);
-  const size_t full_msg = 1 + static_cast<size_t>(fanout) * ds;
-  std::vector<uint8_t> scratch;
-  std::vector<const uint8_t*> ptrs;
-  std::vector<size_t> sizes;
-  for (size_t begin = 0; begin < num_nodes; begin += kBatchWindow) {
-    const size_t end = std::min(num_nodes, begin + kBatchWindow);
-    scratch.clear();
-    scratch.reserve((end - begin) * full_msg);
-    ptrs.clear();
-    sizes.clear();
-    std::vector<size_t> offsets;
-    for (size_t j = begin; j < end; ++j) {
-      const size_t child_begin = j * fanout;
-      const size_t child_end =
-          std::min(below.size(), child_begin + fanout);
-      offsets.push_back(scratch.size());
-      scratch.push_back(kInternalTag);
-      for (size_t c = child_begin; c < child_end; ++c) {
-        const auto view = below[c].view();
-        scratch.insert(scratch.end(), view.begin(), view.end());
-      }
-      sizes.push_back(scratch.size() - offsets.back());
-    }
-    for (size_t off : offsets) {
-      ptrs.push_back(scratch.data() + off);  // after all inserts: stable
-    }
-    ShaHashMany(alg, ptrs.size(), ptrs.data(), sizes.data(),
-                out_level->data() + begin);
+  for (size_t j = 0; j < num_nodes; ++j) {
+    const size_t first = j * fanout;
+    (*out_level)[j] = HashInternalNode(
+        alg, below.subspan(first, std::min<size_t>(fanout,
+                                                   below.size() - first)));
   }
 }
 
@@ -199,9 +156,6 @@ Result<MerkleTree> MerkleTree::Build(std::vector<Digest> leaf_digests,
   // the flat copy never coexists with more than one level of digests.
   std::vector<Digest> below = std::move(leaf_digests);
   while (below.size() > 1) {
-    // Whole-level rebuilds go through the multi-buffer SHA lanes: all
-    // nodes of a level share a message length (bar the ragged tail), so
-    // the level hashes 8 nodes per compression dispatch.
     std::vector<Digest> level;
     HashInternalLevel(alg, below, fanout, &level);
     levels.push_back(FreezeLevel(std::move(below)));
@@ -289,7 +243,7 @@ Status MerkleTree::GenerateProofInto(std::span<const uint32_t> leaf_indices,
   // Explicit stack of (level, index), reused across calls via `scratch`.
   std::vector<MerkleVerifyScratch::Frame>& stack = scratch.frames;
   stack.clear();
-  stack.push_back({static_cast<uint32_t>(top), 0, 0});
+  stack.push_back({static_cast<uint32_t>(top), 0});
   // DFS with children pushed in reverse so traversal is left-to-right.
   std::vector<Digest>& out = out_proof->digests;
   while (!stack.empty()) {
@@ -309,7 +263,7 @@ Status MerkleTree::GenerateProofInto(std::span<const uint32_t> leaf_indices,
     const size_t first = static_cast<size_t>(f.index) * fanout_;
     const size_t last = std::min(child_count, first + fanout_);
     for (size_t c = last; c-- > first;) {
-      stack.push_back({f.level - 1, static_cast<uint32_t>(c), 0});
+      stack.push_back({f.level - 1, static_cast<uint32_t>(c)});
     }
   }
   return Status::Ok();
@@ -507,72 +461,97 @@ Result<Digest> ReconstructMerkleRoot(
 
   LevelSizes(proof.num_leaves, proof.fanout, &scratch.level_sizes);
   const std::vector<size_t>& sizes = scratch.level_sizes;
-  size_t cursor = 0;
-
-  auto has_target = [&](uint64_t lo, uint64_t hi) {
-    auto it = std::lower_bound(
-        target_leaves.begin(), target_leaves.end(), lo,
-        [](const std::pair<uint32_t, Digest>& leaf, uint64_t value) {
-          return leaf.first < value;
-        });
-    return it != target_leaves.end() && it->first < hi;
-  };
-
-  // Iterative replay of the prover's root-down, left-to-right DFS: a visit
-  // frame either emits a digest (proof stream or target leaf) onto the value
-  // stack or pushes a combine frame plus its children (reversed, so the
-  // leftmost child runs first); a combine frame hashes the top
-  // `pending_children` digests — which are exactly its children, in order —
-  // into one internal-node digest.
-  std::vector<MerkleVerifyScratch::Frame>& frames = scratch.frames;
-  std::vector<Digest>& value_stack = scratch.digest_stack;
-  frames.clear();
-  value_stack.clear();
-  frames.push_back({static_cast<uint32_t>(sizes.size() - 1), 0, 0});
-  while (!frames.empty()) {
-    const MerkleVerifyScratch::Frame f = frames.back();
-    frames.pop_back();
-    if (f.pending_children > 0) {
-      const size_t first = value_stack.size() - f.pending_children;
-      const Digest parent = HashInternalNode(
-          proof.alg, std::span<const Digest>(value_stack.data() + first,
-                                            f.pending_children));
-      value_stack.resize(first);
-      value_stack.push_back(parent);
-      continue;
-    }
-    const uint64_t span = LeavesPerNode(proof.fanout, f.level);
-    const uint64_t lo = f.index * span;
-    const uint64_t hi = std::min<uint64_t>(lo + span, proof.num_leaves);
-    if (!has_target(lo, hi)) {
-      if (cursor >= proof.digests.size()) {
-        return Status::Malformed("merkle proof digest stream underflow");
+  const size_t top = sizes.size() - 1;
+  const size_t fanout = proof.fanout;
+  // The replay walks only the nodes whose subtree holds a target leaf
+  // ("open" nodes), level by level from the leaves up; open nodes of one
+  // level sit contiguously in `nodes`, ascending, from level_begin[level].
+  // Every other child of an open node is pruned and read from the proof
+  // stream. Pruned spans are disjoint, so the prover's root-down DFS
+  // emitted them in ascending first-leaf order; the integer passes below
+  // recover each one's stream position without replaying that DFS.
+  std::vector<MerkleVerifyScratch::OpenNode>& nodes = scratch.nodes;
+  std::vector<size_t>& level_begin = scratch.level_begin;
+  nodes.clear();
+  level_begin.assign(1, 0);
+  for (const auto& [index, digest] : target_leaves) {
+    nodes.push_back({index, 0, 0});
+  }
+  // Pass 1, bottom-up: open parents and the stream digests under each.
+  for (size_t level = 0; level < top; ++level) {
+    const size_t end = nodes.size();
+    level_begin.push_back(end);
+    for (size_t i = level_begin[level]; i < end;) {
+      const uint32_t parent = static_cast<uint32_t>(nodes[i].index / fanout);
+      const size_t first = parent * fanout;
+      const size_t children = std::min(sizes[level], first + fanout) - first;
+      size_t open = 0;
+      uint64_t stream = 0;
+      for (; i < end && nodes[i].index / fanout == parent; ++i, ++open) {
+        stream += nodes[i].stream;
       }
-      value_stack.push_back(proof.digests[cursor++]);
-      continue;
-    }
-    if (f.level == 0) {
-      auto it = std::lower_bound(
-          target_leaves.begin(), target_leaves.end(), lo,
-          [](const std::pair<uint32_t, Digest>& leaf, uint64_t value) {
-            return leaf.first < value;
-          });
-      value_stack.push_back(it->second);
-      continue;
-    }
-    const size_t child_count = sizes[f.level - 1];
-    const size_t first = static_cast<size_t>(f.index) * proof.fanout;
-    const size_t last = std::min(child_count, first + proof.fanout);
-    frames.push_back({f.level, f.index,
-                      static_cast<uint32_t>(last - first)});
-    for (size_t c = last; c-- > first;) {
-      frames.push_back({f.level - 1, static_cast<uint32_t>(c), 0});
+      nodes.push_back({parent, stream + (children - open), 0});
     }
   }
-  if (cursor != proof.digests.size()) {
+  level_begin.push_back(nodes.size());
+  if (nodes.back().stream > proof.digests.size()) {
+    return Status::Malformed("merkle proof digest stream underflow");
+  }
+  if (nodes.back().stream < proof.digests.size()) {
     return Status::Malformed("merkle proof has unused digests");
   }
-  return value_stack.front();
+  // Pass 2, top-down: where each open node's stream run starts. Pruned
+  // siblings ahead of an open child each hold one stream slot.
+  nodes.back().offset = 0;
+  for (size_t level = top; level > 0; --level) {
+    size_t child = level_begin[level - 1];
+    for (size_t p = level_begin[level]; p < level_begin[level + 1]; ++p) {
+      uint64_t offset = nodes[p].offset;
+      size_t next = static_cast<size_t>(nodes[p].index) * fanout;
+      for (; child < level_begin[level] &&
+             nodes[child].index / fanout == nodes[p].index;
+           ++child) {
+        offset += nodes[child].index - next;
+        nodes[child].offset = offset;
+        offset += nodes[child].stream;
+        next = nodes[child].index + 1;
+      }
+    }
+  }
+  // Pass 3, bottom-up: hash every open parent from its children, each an
+  // open node's digest or the stream digest at its position.
+  std::vector<Digest>& values = scratch.values;
+  values.resize(nodes.size());
+  for (size_t i = 0; i < target_leaves.size(); ++i) {
+    values[i] = target_leaves[i].second;
+  }
+  std::vector<uint8_t>& message = scratch.message;
+  for (size_t level = 1; level <= top; ++level) {
+    size_t child = level_begin[level - 1];
+    for (size_t p = level_begin[level]; p < level_begin[level + 1]; ++p) {
+      const size_t first = static_cast<size_t>(nodes[p].index) * fanout;
+      const size_t last = std::min(sizes[level - 1], first + fanout);
+      if (message.size() < 1 + (last - first) * Digest::kMaxSize) {
+        message.resize(1 + (last - first) * Digest::kMaxSize);
+      }
+      message[0] = kInternalTag;
+      size_t size = 1;
+      uint64_t cursor = nodes[p].offset;
+      for (size_t c = first; c < last; ++c) {
+        const Digest* digest;
+        if (child < level_begin[level] && nodes[child].index == c) {
+          cursor += nodes[child].stream;
+          digest = &values[child++];
+        } else {
+          digest = &proof.digests[cursor++];
+        }
+        std::memcpy(message.data() + size, digest->data(), digest->size());
+        size += digest->size();
+      }
+      values[p] = Hasher::Hash(proof.alg, {message.data(), size});
+    }
+  }
+  return values.back();
 }
 
 }  // namespace spauth

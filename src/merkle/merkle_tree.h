@@ -7,8 +7,10 @@
 // Subset proofs follow Merkle [11] / Martel et al. [12] exactly as the paper
 // states: a digest h_i enters the proof iff (i) h_i's subtree contains no
 // target leaf and (ii) its parent's subtree does. Digests are emitted in
-// deterministic root-down, left-to-right DFS order; the verifier replays the
-// same recursion (it knows num_leaves and fanout) and consumes the stream.
+// deterministic root-down, left-to-right DFS order. The verifier does not
+// replay that recursion: the pruned subtrees are disjoint, so DFS order is
+// ascending first-leaf order, and it rebuilds the root bottom-up, level by
+// level, from the target leaves (it knows num_leaves and fanout).
 //
 // Domain separation: leaves are hashed as H(0x00 || payload), internal nodes
 // as H(0x01 || child digests), preventing leaf/internal confusion attacks.
@@ -44,19 +46,9 @@ Digest HashLeafPayload(HashAlgorithm alg, std::span<const uint8_t> payload);
 /// Hashes the concatenation of child digests with the internal-node tag.
 Digest HashInternalNode(HashAlgorithm alg, std::span<const Digest> children);
 
-/// Batch form of HashLeafPayload funneled through the multi-buffer SHA
-/// lanes (crypto/sha_multibuf.h): out[i] == HashLeafPayload(alg,
-/// payloads[i]), byte-identical. `out` must have room for payloads.size()
-/// digests. Owner-side ADS builds hash every tuple through this.
-void HashLeafPayloadsBatch(HashAlgorithm alg,
-                           std::span<const std::span<const uint8_t>> payloads,
-                           Digest* out);
-
-/// Hashes one whole internal level in lane batches: out_level is resized to
+/// Hashes one whole internal level: out_level is resized to
 /// ceil(below.size() / fanout) and out_level[j] == HashInternalNode over
-/// below[j*fanout .. j*fanout+fanout). Every node of a level except the
-/// last ragged one has the same message length, so the level maps onto
-/// full SIMD lanes — this is the Merkle rebuild fast path.
+/// below[j*fanout .. j*fanout+fanout). This is the Merkle rebuild path.
 void HashInternalLevel(HashAlgorithm alg, std::span<const Digest> below,
                        uint32_t fanout, std::vector<Digest>* out_level);
 
@@ -78,19 +70,28 @@ struct MerkleSubsetProof {
   static Status DeserializeInto(ByteReader* in, MerkleSubsetProof* out);
 };
 
-/// Reusable scratch for subset-proof replay (and generation): the explicit
-/// DFS frame stack, the digest value stack, the per-level node counts and a
-/// sorted (leaf index, digest) buffer for callers assembling target leaves.
-/// Everything keeps its capacity across calls, so a hot verifier replays
-/// proofs without allocating. Single-threaded; one per verify workspace.
+/// Reusable scratch for subset-proof replay (and generation): the prover's
+/// DFS frame stack, the replay's open nodes and their digests, the per-level
+/// node counts, one internal-node message buffer and a sorted (leaf index,
+/// digest) buffer for callers assembling target leaves. Everything keeps its
+/// capacity across calls, so a hot verifier replays proofs without
+/// allocating. Single-threaded; one per verify workspace.
 struct MerkleVerifyScratch {
   struct Frame {
     uint32_t level;
     uint32_t index;
-    uint32_t pending_children;  // 0: visit phase; >0: combine phase
+  };
+  /// A node whose subtree holds a target leaf.
+  struct OpenNode {
+    uint32_t index;   // position within its level
+    uint64_t stream;  // proof-stream digests inside its subtree
+    uint64_t offset;  // stream position of the first of them
   };
   std::vector<Frame> frames;
-  std::vector<Digest> digest_stack;
+  std::vector<OpenNode> nodes;
+  std::vector<size_t> level_begin;
+  std::vector<Digest> values;
+  std::vector<uint8_t> message;
   std::vector<size_t> level_sizes;
   std::vector<std::pair<uint32_t, Digest>> leaves;  // callers' target buffer
 };
@@ -203,9 +204,10 @@ Result<Digest> ReconstructMerkleRoot(
     const std::map<uint32_t, Digest>& target_leaves);
 
 /// Fast-path replay: `target_leaves` must be sorted by leaf index and
-/// duplicate-free; the explicit-stack traversal runs entirely inside
-/// `scratch`, so a hot verifier replays proofs with zero steady-state
-/// allocations. The map overload above is a thin wrapper over this one.
+/// duplicate-free; the level-order replay runs entirely inside `scratch`
+/// (it never touches scratch.leaves, so callers may pass that buffer), so a
+/// hot verifier replays proofs with zero steady-state allocations. The map
+/// overload above is a thin wrapper over this one.
 Result<Digest> ReconstructMerkleRoot(
     const MerkleSubsetProof& proof,
     std::span<const std::pair<uint32_t, Digest>> target_leaves,

@@ -265,10 +265,23 @@ TEST(BigIntTest, PrimalityCarmichael) {
 TEST(BigIntTest, GeneratePrimeHasRequestedSize) {
   Rng rng(14);
   for (int bits : {32, 64, 128}) {
-    BigInt p = BigInt::GeneratePrime(bits, &rng);
+    BigInt p = BigInt::GeneratePrime(bits, &rng).value();
     EXPECT_EQ(p.BitLength(), bits);
     EXPECT_TRUE(BigInt::IsProbablePrime(p, 16, &rng));
   }
+}
+
+// A primality test that rejects everything (say, a broken ModPow) must
+// make keygen fail, not spin: seed 14's first 64-bit candidate is
+// composite, so a one-candidate bound is exhausted, while the default
+// bound goes on to find a prime from the same draws.
+TEST(BigIntTest, GeneratePrimeFailsAfterCandidateBound) {
+  Rng rng(14);
+  auto exhausted = BigInt::GeneratePrime(64, &rng, /*max_candidates=*/1);
+  ASSERT_FALSE(exhausted.ok());
+  EXPECT_EQ(exhausted.status().code(), StatusCode::kInternal);
+  Rng again(14);
+  EXPECT_TRUE(BigInt::GeneratePrime(64, &again).ok());
 }
 
 TEST(BigIntTest, RandomBelowIsBelow) {

@@ -152,8 +152,8 @@ TEST(RsaCrtTest, SignMatchesPlainExponentiation) {
     BigInt p, q;
     Result<RsaKeyPair> keys = Status::Internal("unset");
     while (!keys.ok()) {
-      p = BigInt::GeneratePrime(bits / 2, &rng);
-      q = BigInt::GeneratePrime(bits - bits / 2, &rng);
+      p = BigInt::GeneratePrime(bits / 2, &rng).value();
+      q = BigInt::GeneratePrime(bits - bits / 2, &rng).value();
       keys = RsaKeyPair::FromPrimes(p, q, e);
     }
     const BigInt n = BigInt::Mul(p, q);
